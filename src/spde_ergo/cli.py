@@ -107,7 +107,6 @@ class RunConfig:
     functionals: tuple[str, ...] = FUNCTIONAL_TAGS
     moment_betas: tuple[float, ...] = (0.0, 0.25, 0.4)
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
 
     def build_diffusion(self):
         if self.diffusion == "paper":
@@ -139,7 +138,15 @@ class RunConfig:
 
     def effective_seed(self) -> int:
         env = os.environ.get(SEED_ENV_VAR)
-        return int(env) if env else self.seed
+        if not env:
+            return self.seed
+        try:
+            seed = int(env)
+        except ValueError:
+            seed = None
+        if seed is None or not 0 <= seed < 2**64:
+            raise ConfigError([f"{SEED_ENV_VAR}={env!r} is not an integer in [0, 2**64)"])
+        return seed
 
     def ensemble_config(self, initial: str, model: CoefficientModel,
                         n_modes: int | None = None) -> EnsembleConfig:
@@ -195,7 +202,6 @@ _SCHEMA = {
     "run.functionals": ("functionals", _parse_list(_parse_str)),
     "run.moment_betas": ("moment_betas", _parse_list(_parse_float)),
     "output.directory": ("directory", _parse_str),
-    "output.formats": ("formats", _parse_list(_parse_str)),
 }
 
 _REQUIRED_KEYS = ("model.name", "scheme.n_modes", "scheme.tau",
@@ -548,6 +554,7 @@ def main(argv=None) -> int:
         return cmd_selftest()
     try:
         cfg = _load_config(args)
+        cfg.effective_seed()  # reject a bad seed override before any work
         out_dir = Path(args.output) if args.output else Path(cfg.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)

@@ -225,7 +225,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
         return np.sin(ns)
 
     def observer(step, x, w):
-        ns = np.einsum("pn,pn->p", x, x)
+        ns = (x * x).sum(axis=1)
         sum_xns[step] = ns.sum()
         sumsq_xns[step] = ns @ ns
         for beta in betas:

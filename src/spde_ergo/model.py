@@ -32,6 +32,7 @@ __all__ = [
     "drift_quadrature_floor",
     "noise_quadrature_floor",
     "default_quadrature",
+    "GalerkinOperators",
     "nemytskii_drift",
     "nemytskii_jacobian",
     "noise_matrix",
@@ -218,31 +219,71 @@ def default_quadrature(n_modes: int, noise_modes: int, constants: ModelConstants
                noise_quadrature_floor(n_modes, noise_modes) + 1)
 
 
+class GalerkinOperators:
+    """Galerkin projections of the Nemytskii operators, acting on rows.
+
+    Each operator takes a (P, N) array whose rows are independent
+    coefficient vectors, lifts them to the Q interior quadrature nodes,
+    applies f, f' or g pointwise and projects back with weight 1/(Q+1).
+    The scheme steps with these definitions, and nemytskii_drift,
+    nemytskii_jacobian, noise_matrix and multiplicative_increment evaluate
+    them on a single row. Q must reach the noise floor N + N_w, below which
+    even a constant coefficient aliases.
+    """
+
+    def __init__(self, model: CoefficientModel, n_modes: int, noise_modes: int,
+                 q_nodes: int):
+        floor = noise_quadrature_floor(n_modes, noise_modes)
+        if q_nodes < floor:
+            raise ValueError(f"Q={q_nodes} below noise quadrature floor {floor}")
+        self.model = model
+        self.n = n_modes
+        self.basis = basis_matrix(n_modes, q_nodes)
+        self.basis_w = basis_matrix(noise_modes, q_nodes)
+        self.weight = 1.0 / (q_nodes + 1)
+        # (Q x N^2) table of e_n(xi_q) e_m(xi_q) / (Q+1): assembling every
+        # row's Jacobian is then a single matrix product.
+        b = self.basis
+        self._products = ((b[:, :, None] * b[:, None, :]).reshape(q_nodes, -1)
+                          * self.weight)
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        """Rows of P_N F(x)."""
+        return self.model.drift(x @ self.basis.T) @ self.basis * self.weight
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """(P, N, N) stack of the symmetric Jacobians of drift at each row."""
+        fp = self.model.drift_deriv(x @ self.basis.T)
+        return (fp @ self._products).reshape(len(x), self.n, self.n)
+
+    def noise(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
+        """Rows of P_N G(x) dW for the (P, N_w) noise-mode increments dbeta."""
+        gu = self.model.diffusion(x @ self.basis.T)
+        return (gu * (dbeta @ self.basis_w.T)) @ self.basis * self.weight
+
+
+def _drift_operators(arr: np.ndarray, model: CoefficientModel,
+                     q_nodes: int) -> GalerkinOperators:
+    n = arr.size
+    floor = drift_quadrature_floor(n, model.constants)
+    if q_nodes < floor:
+        raise ValueError(f"Q={q_nodes} below dealiasing floor {floor} for N={n}")
+    return GalerkinOperators(model, n, n, q_nodes)
+
+
 def nemytskii_drift(c, model: CoefficientModel, q_nodes: int) -> SpectralCoeffs:
     """Galerkin projection of the drift Nemytskii operator, P_N F(x).
 
     Exact for polynomial f of degree d when Q >= (d + 1) N.
     """
     arr = _coeff_array(c)
-    n = arr.size
-    floor = drift_quadrature_floor(n, model.constants)
-    if q_nodes < floor:
-        raise ValueError(f"Q={q_nodes} below dealiasing floor {floor} for N={n}")
-    mat = basis_matrix(n, q_nodes)
-    fu = model.drift(mat @ arr)
-    return SpectralCoeffs(mat.T @ fu / (q_nodes + 1))
+    return SpectralCoeffs(_drift_operators(arr, model, q_nodes).drift(arr[None])[0])
 
 
 def nemytskii_jacobian(c, model: CoefficientModel, q_nodes: int) -> np.ndarray:
     """Jacobian of nemytskii_drift wrt the coefficients; symmetric N x N."""
     arr = _coeff_array(c)
-    n = arr.size
-    floor = drift_quadrature_floor(n, model.constants)
-    if q_nodes < floor:
-        raise ValueError(f"Q={q_nodes} below dealiasing floor {floor} for N={n}")
-    mat = basis_matrix(n, q_nodes)
-    fp = model.drift_deriv(mat @ arr)
-    return (mat * fp[:, None]).T @ mat / (q_nodes + 1)
+    return _drift_operators(arr, model, q_nodes).jacobian(arr[None])[0]
 
 
 def noise_matrix(c, model: CoefficientModel, noise_modes: int, q_nodes: int) -> np.ndarray:
@@ -252,14 +293,10 @@ def noise_matrix(c, model: CoefficientModel, noise_modes: int, q_nodes: int) -> 
     Quadrature with Q >= N + N_w is exact whenever g(x(.)) is constant.
     """
     arr = _coeff_array(c)
-    n = arr.size
-    floor = noise_quadrature_floor(n, noise_modes)
-    if q_nodes < floor:
-        raise ValueError(f"Q={q_nodes} below noise quadrature floor {floor}")
-    mat_n = basis_matrix(n, q_nodes)
-    mat_w = mat_n if noise_modes == n else basis_matrix(noise_modes, q_nodes)
-    gu = model.diffusion(mat_n @ arr)
-    return (mat_n * gu[:, None]).T @ mat_w / (q_nodes + 1)
+    ops = GalerkinOperators(model, arr.size, noise_modes, q_nodes)
+    # Column m is the increment of the unit noise vector e_m.
+    rows = np.broadcast_to(arr, (noise_modes, arr.size))
+    return ops.noise(rows, np.eye(noise_modes)).T
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientModel, noise_matrix
+from .model import CoefficientModel, GalerkinOperators
 from .spectral import SpectralCoeffs, _coeff_array
 
 __all__ = [
@@ -95,5 +95,5 @@ def multiplicative_increment(c, model: CoefficientModel, dbeta: np.ndarray,
     dbeta = np.asarray(dbeta, dtype=float)
     if dbeta.ndim != 1:
         raise ValueError("dbeta must be a 1D increment vector")
-    mat = noise_matrix(arr, model, dbeta.size, q_nodes)
-    return SpectralCoeffs(mat @ dbeta)
+    ops = GalerkinOperators(model, arr.size, dbeta.size, q_nodes)
+    return SpectralCoeffs(ops.noise(arr[None], dbeta[None])[0])

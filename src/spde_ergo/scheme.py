@@ -21,11 +21,12 @@ import numpy as np
 
 from .model import (
     CoefficientModel,
+    GalerkinOperators,
     default_quadrature,
     validate_step_constraint,
 )
 from .noise import NoiseStream, PhiloxBlockSource, gaussian_increments
-from .spectral import SpectralCoeffs, _coeff_array, basis_matrix, eigenvalues
+from .spectral import SpectralCoeffs, _coeff_array, eigenvalues, resolvent_apply
 
 __all__ = [
     "SchemeParams",
@@ -46,11 +47,16 @@ __all__ = [
 class NonConvergenceError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
-    def __init__(self, residual: float, iterations: int, step: int | None = None):
+    def __init__(self, residual: float, iterations: int, step: int | None = None,
+                 path: int | None = None):
         self.residual = residual
         self.iterations = iterations
         self.step = step
-        at = "" if step is None else f" at step {step}"
+        self.path = path
+        where = [f"path {path}"] if path is not None else []
+        if step is not None:
+            where.append(f"step {step}")
+        at = f" at {', '.join(where)}" if where else ""
         super().__init__(
             f"Newton failed{at}: residual {residual:.3e} after {iterations} iterations"
         )
@@ -149,73 +155,108 @@ class PathResult:
     error: Exception | None = None
 
 
-class _Workspace:
-    """Precomputed quantities for repeated stepping of one (params, model)."""
+class _Workspace(GalerkinOperators):
+    """Precomputed quantities for stepping (P, N) rows of independent paths.
+
+    The rows never interact, so one path stepped alone equals its row in a
+    batch up to floating-point reduction order.
+    """
 
     def __init__(self, params: SchemeParams, model: CoefficientModel):
         params.validate(model)
-        self.params = params
-        self.model = model
-        self.n = params.n_modes
         self.n_w = params.resolved_noise_modes()
-        self.q = params.resolved_quadrature(model)
+        super().__init__(model, params.n_modes, self.n_w,
+                         params.resolved_quadrature(model))
         self.tau = params.tau
         lam = eigenvalues(self.n)
         self.one_plus = 1.0 + self.tau * lam
         self.res_factors = 1.0 / self.one_plus
-        self.basis = basis_matrix(self.n, self.q)
-        self.basis_w = (self.basis if self.n_w == self.n
-                        else basis_matrix(self.n_w, self.q))
-        self.weight = 1.0 / (self.q + 1)
         self.c0 = 1.0 - (model.constants.K1 - lam[0]) * self.tau
         self.tol = params.newton_tol
         self.max_iter = params.newton_max_iter
 
-    def drift_proj(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.T @ self.model.drift(self.basis @ x) * self.weight
-
-    def implicit_residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.one_plus * x - self.tau * self.drift_proj(x) - rhs
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return self.one_plus * x - self.tau * self.drift(x) - rhs
 
     def newton_matrix(self, x: np.ndarray) -> np.ndarray:
-        fp = self.model.drift_deriv(self.basis @ x)
-        a = (self.basis * fp[:, None]).T @ self.basis * (-self.tau * self.weight)
-        a[np.diag_indices(self.n)] += self.one_plus
+        a = self.jacobian(x)
+        a *= -self.tau
+        a.reshape(len(x), -1)[:, ::self.n + 1] += self.one_plus
         return a
 
-    def noise_increment(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
-        gu = self.model.diffusion(self.basis @ x)
-        return (self.basis * gu[:, None]).T @ (self.basis_w @ dbeta) * self.weight
+    def newton(self, rhs: np.ndarray, guess: np.ndarray, step: int | None = None,
+               first_path: int | None = None) -> tuple[np.ndarray, int, float]:
+        """Solve every row of F_hat(x) = rhs by damped Newton iteration.
 
-    def solve(self, rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+        Returns (x, iterations, largest final residual norm). A failure
+        names the first failing row as path first_path + row.
+        """
+        def failure(rows, residuals, iterations):
+            row = int(np.flatnonzero(rows)[0])
+            path = None if first_path is None else first_path + row
+            return NonConvergenceError(float(residuals[row]), iterations,
+                                       step=step, path=path)
+
         x = guess.copy()
-        res = self.implicit_residual(x, rhs)
-        res_norm = float(np.linalg.norm(res))
+        res = self.residual(x, rhs)
+        rnorm = _row_norms(res)
         iters = 0
-        while res_norm > self.tol:
+        while True:
+            # A NaN residual compares false, so it stays active.
+            active = ~(rnorm <= self.tol)
+            n_active = np.count_nonzero(active)
+            if not n_active:
+                break
             if iters >= self.max_iter:
-                raise NonConvergenceError(res_norm, iters)
+                raise failure(active, rnorm, iters)
+            every = n_active == len(active)
+            if every:
+                x_act, res_act, rhs_act, rn_act = x, res, rhs, rnorm
+            else:
+                x_act, res_act = x[active], res[active]
+                rhs_act, rn_act = rhs[active], rnorm[active]
             try:
-                delta = np.linalg.solve(self.newton_matrix(x), -res)
+                delta = np.linalg.solve(self.newton_matrix(x_act),
+                                        -res_act[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise SingularLinearSolveError(
                     "singular Newton system; check (K1 - lambda_1) tau < 1"
                 ) from exc
-            # Damped update: halve the step until the residual decreases.
-            scale = 1.0
+            # Damped update: halve each row's step until its residual decreases.
+            scale = np.ones(n_active)
+            x_try = x_act + delta
             for _ in range(40):
-                x_new = x + scale * delta
-                res_new = self.implicit_residual(x_new, rhs)
-                new_norm = float(np.linalg.norm(res_new))
-                if new_norm < res_norm:
+                res_try = self.residual(x_try, rhs_act)
+                rn_try = _row_norms(res_try)
+                stuck = ~(rn_try < rn_act)
+                if not np.count_nonzero(stuck):
                     break
-                scale *= 0.5
+                scale[stuck] *= 0.5
+                x_try = x_act + scale[:, None] * delta
             else:
-                raise NonConvergenceError(res_norm, iters + 1)
-            x, res, res_norm = x_new, res_new, new_norm
+                failed = np.zeros_like(active)
+                failed[active] = stuck
+                raise failure(failed, rnorm, iters + 1)
+            if every:
+                x, res, rnorm = x_try, res_try, rn_try
+            else:
+                x[active] = x_try
+                res[active] = res_try
+                rnorm[active] = rn_try
             iters += 1
-        return x, StepDiagnostics(newton_iters=iters, final_residual=res_norm,
-                                  c0=self.c0)
+        return x, iters, float(rnorm.max())
+
+    def advance(self, x: np.ndarray, w: np.ndarray, dbeta: np.ndarray, step: int,
+                first_path: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """One DIEG step of every row; chain and convolution share the noise."""
+        noise = self.noise(x, dbeta)
+        x_new, iters, res = self.newton(x + noise, x, step, first_path)
+        return x_new, self.res_factors * (w + noise), iters, res
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(a, axis=1) without its per-call overhead; same rounding.
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def implicit_solve(rhs, params: SchemeParams, model: CoefficientModel,
@@ -228,30 +269,22 @@ def implicit_solve(rhs, params: SchemeParams, model: CoefficientModel,
     ws = _Workspace(params, model)
     rhs_arr = _coeff_array(rhs)
     guess_arr = rhs_arr if guess is None else _coeff_array(guess)
-    x, diag = ws.solve(rhs_arr, guess_arr)
-    return SpectralCoeffs(x), diag
-
-
-def _step_arrays(x: np.ndarray, w: np.ndarray, stream: NoiseStream,
-                 ws: _Workspace) -> tuple[np.ndarray, np.ndarray, StepDiagnostics]:
-    dbeta = gaussian_increments(stream, ws.n_w, ws.tau)
-    noise = ws.noise_increment(x, dbeta)
-    x_new, diag = ws.solve(x + noise, x)
-    w_new = ws.res_factors * (w + noise)
-    return x_new, w_new, diag
+    x, iters, res = ws.newton(rhs_arr[None], guess_arr[None])
+    return SpectralCoeffs(x[0]), StepDiagnostics(newton_iters=iters,
+                                                 final_residual=res, c0=ws.c0)
 
 
 def dieg_step(state: PathState, params: SchemeParams,
               model: CoefficientModel) -> tuple[PathState, StepDiagnostics]:
     """Advance one DIEG step; chain and convolution consume the same increments."""
     ws = _Workspace(params, model)
-    try:
-        x_new, w_new, diag = _step_arrays(state.x, state.w, state.stream, ws)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(exc.residual, exc.iterations, step=state.step) from exc
-    new_state = PathState(x=x_new, w=w_new, step=state.step + 1,
+    dbeta = gaussian_increments(state.stream, ws.n_w, ws.tau)
+    x, w, iters, res = ws.advance(state.x[None], state.w[None], dbeta[None],
+                                  state.step, state.stream.path_index)
+    new_state = PathState(x=x[0], w=w[0], step=state.step + 1,
                           stream=state.stream)
-    return new_state, diag
+    return new_state, StepDiagnostics(newton_iters=iters, final_residual=res,
+                                      c0=ws.c0)
 
 
 def convolution_update(w, noise, params: SchemeParams) -> SpectralCoeffs:
@@ -260,8 +293,7 @@ def convolution_update(w, noise, params: SchemeParams) -> SpectralCoeffs:
     noise_arr = _coeff_array(noise)
     if w_arr.shape != noise_arr.shape:
         raise ValueError("w and noise must share n_modes")
-    factors = 1.0 / (1.0 + params.tau * eigenvalues(w_arr.size))
-    return SpectralCoeffs(factors * (w_arr + noise_arr))
+    return resolvent_apply(w_arr + noise_arr, params.tau)
 
 
 def random_pde_residual(traj_x: Sequence, traj_w: Sequence,
@@ -277,104 +309,35 @@ def random_pde_residual(traj_x: Sequence, traj_w: Sequence,
     if len(traj_x) < 2:
         return np.zeros(0)
     ws = _Workspace(params, model)
-    out = np.empty(len(traj_x) - 1)
-    y_prev = _coeff_array(traj_x[0]) - _coeff_array(traj_w[0])
-    for j in range(1, len(traj_x)):
-        x_j = _coeff_array(traj_x[j])
-        y_j = x_j - _coeff_array(traj_w[j])
-        out[j - 1] = np.linalg.norm(
-            ws.one_plus * y_j - y_prev - ws.tau * ws.drift_proj(x_j)
-        )
-        y_prev = y_j
-    return out
+    x = np.array([_coeff_array(c) for c in traj_x])
+    y = x - np.array([_coeff_array(c) for c in traj_w])
+    return np.linalg.norm(
+        ws.one_plus * y[1:] - y[:-1] - ws.tau * ws.drift(x[1:]), axis=1)
 
 
-class _BatchWorkspace(_Workspace):
-    """Vectorized stepping of many independent paths at once.
-
-    Numerically equivalent to stepping each path with _Workspace (up to
-    BLAS kernel rounding); increments per (path, step) are identical to the
-    per-path streams, so the reduction is independent of batching.
-    """
-
-    def drift_proj_batch(self, x: np.ndarray) -> np.ndarray:
-        return self.model.drift(x @ self.basis.T) @ self.basis * self.weight
-
-    def residual_batch(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.one_plus * x - self.tau * self.drift_proj_batch(x) - rhs
-
-    def newton_matrix_batch(self, x: np.ndarray) -> np.ndarray:
-        fp = self.model.drift_deriv(x @ self.basis.T)
-        a = np.einsum("pq,qn,qm->pnm", fp, self.basis, self.basis,
-                      optimize=True) * (-self.tau * self.weight)
-        idx = np.arange(self.n)
-        a[:, idx, idx] += self.one_plus
-        return a
-
-    def noise_increment_batch(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
-        gu = self.model.diffusion(x @ self.basis.T)
-        return (gu * (dbeta @ self.basis_w.T)) @ self.basis * self.weight
-
-    def solve_batch(self, rhs: np.ndarray, guess: np.ndarray,
-                    step: int) -> tuple[np.ndarray, int, float]:
-        x = guess.copy()
-        res = self.residual_batch(x, rhs)
-        rnorm = np.linalg.norm(res, axis=1)
-        iters = 0
-        while True:
-            active = rnorm > self.tol
-            if not active.any():
-                break
-            if iters >= self.max_iter:
-                raise NonConvergenceError(float(rnorm.max()), iters, step=step)
-            try:
-                delta = np.linalg.solve(self.newton_matrix_batch(x[active]),
-                                        -res[active, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularLinearSolveError(
-                    "singular Newton system; check (K1 - lambda_1) tau < 1"
-                ) from exc
-            x_act = x[active]
-            rhs_act = rhs[active]
-            rn_act = rnorm[active]
-            scale = np.ones(len(x_act))
-            for _ in range(40):
-                x_try = x_act + scale[:, None] * delta
-                res_try = self.residual_batch(x_try, rhs_act)
-                rn_try = np.linalg.norm(res_try, axis=1)
-                stuck = rn_try >= rn_act
-                if not stuck.any():
-                    break
-                scale[stuck] *= 0.5
-            else:
-                raise NonConvergenceError(float(rn_act.max()), iters + 1, step=step)
-            x[active] = x_try
-            res[active] = res_try
-            rnorm[active] = rn_try
-            iters += 1
-        return x, iters, float(rnorm.max())
-
-
-BatchObserver = Callable[[int, np.ndarray, np.ndarray], None]
+Observer = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
                          model: CoefficientModel, master_seed: int,
                          n_paths: int,
-                         observers: Sequence[BatchObserver] = (),
-                         first_path_index: int = 0) -> tuple[int, float]:
+                         observers: Sequence[Observer] = (),
+                         first_path_index: int = 0,
+                         first_step: int = 0) -> tuple[int, float]:
     """Advance n_paths independent paths in lockstep.
 
     Observers are called as observer(step, X, W) with (n_paths, N) arrays
-    whose row p corresponds to path index first_path_index + p. Increments
-    match the per-path NoiseStream blocks exactly, so the result is a pure
-    function of (master_seed, config) regardless of batching.
+    whose row p corresponds to path index first_path_index + p; step counts
+    from 0 at x0. Step j draws the noise block (first_step + j) of each
+    path, so the result is a pure function of (master_seed, config)
+    regardless of batching. A Newton failure raises NonConvergenceError
+    naming the (path, step) of the first failing row.
 
     Returns (max Newton iterations over steps, max final residual).
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("n_steps must be >= 0 and n_paths >= 1")
-    ws = _BatchWorkspace(params, model)
+    ws = _Workspace(params, model)
     x0_arr = _coeff_array(x0)
     if x0_arr.ndim == 1:
         x = np.tile(x0_arr, (n_paths, 1))
@@ -394,11 +357,9 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     max_res = 0.0
     for j in range(n_steps):
         for p in range(n_paths):
-            dbeta[p] = source.normals(first_path_index + p, j, ws.n_w)
+            dbeta[p] = source.normals(first_path_index + p, first_step + j, ws.n_w)
         dbeta *= sqrt_tau
-        noise = ws.noise_increment_batch(x, dbeta)
-        x, iters, res = ws.solve_batch(x + noise, x, step=j)
-        w = ws.res_factors * (w + noise)
+        x, w, iters, res = ws.advance(x, w, dbeta, j, first_path_index)
         max_iters = max(max_iters, iters)
         max_res = max(max_res, res)
         for obs in observers:
@@ -406,49 +367,39 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     return max_iters, max_res
 
 
-Observer = Callable[[int, np.ndarray, np.ndarray], None]
-
-
 def run_path(x0, n_steps: int, params: SchemeParams, model: CoefficientModel,
              stream: NoiseStream, observers: Sequence[Observer] = ()) -> PathResult:
     """Iterate the scheme n_steps times from x0 with the given stream.
 
-    Observers are called as observer(step, x, w) for every step including
-    the initial one; they accumulate functionals and norms in-stream so full
-    trajectories need not be materialized.  On failure the partial result is
-    preserved with the error attached.
+    A one-path run of run_paths_vectorized that starts at the stream's
+    step counter and advances it. Observers are called as observer(step, x,
+    w) with 1-D arrays for every step including the initial one; they
+    accumulate functionals and norms in-stream so full trajectories need
+    not be materialized. On failure the state of the last completed step
+    is returned with the error attached; the solver maxima then stay 0.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    ws = _Workspace(params, model)
-    x = _coeff_array(x0).copy()
-    if x.size != ws.n:
-        raise ValueError(f"x0 has {x.size} modes, scheme expects {ws.n}")
-    w = np.zeros_like(x)
-    result = PathResult(state=PathState(x=x, w=w, step=0, stream=stream),
-                        n_steps_done=0)
-    for obs in observers:
-        obs(0, x, w)
-    steps_done = 0
-    max_iters = 0
-    max_res = 0.0
-    for j in range(n_steps):
-        try:
-            x, w, diag = _step_arrays(x, w, stream, ws)
-        except (NonConvergenceError, SingularLinearSolveError) as exc:
-            if isinstance(exc, NonConvergenceError):
-                exc.step = j
-            result.error = exc
-            break
-        steps_done = j + 1
-        if diag.newton_iters > max_iters:
-            max_iters = diag.newton_iters
-        if diag.final_residual > max_res:
-            max_res = diag.final_residual
+    start = stream.step_counter
+    last = [0, None, None]
+
+    def track(step, x, w):
+        last[:] = step, x[0], w[0]
         for obs in observers:
-            obs(j + 1, x, w)
-    result.state = PathState(x=x, w=w, step=steps_done, stream=stream)
-    result.n_steps_done = steps_done
-    result.max_newton_iters = max_iters
-    result.max_residual = max_res
-    return result
+            obs(step, x[0], w[0])
+
+    error = None
+    max_iters, max_res = 0, 0.0
+    try:
+        max_iters, max_res = run_paths_vectorized(
+            x0, n_steps, params, model, stream.master_seed, 1,
+            observers=(track,), first_path_index=stream.path_index,
+            first_step=start)
+    except (NonConvergenceError, SingularLinearSolveError) as exc:
+        error = exc
+    steps_done, x, w = last
+    # A failed step has already drawn its noise block.
+    stream.step_counter = start + steps_done + (error is not None)
+    return PathResult(state=PathState(x=x, w=w, step=steps_done, stream=stream),
+                      n_steps_done=steps_done, max_newton_iters=max_iters,
+                      max_residual=max_res, error=error)

@@ -52,7 +52,7 @@ def test_serialize_parse_round_trip():
     cfg = parse_config(TINY)
     assert parse_config(serialize_config(cfg)) == cfg
     full = replace(cfg, noise_modes=4, quadrature=64, n_sweep=(6, 12),
-                   burn_in=5, formats=("csv",))
+                   burn_in=5)
     assert parse_config(serialize_config(full)) == full
 
 
@@ -128,6 +128,16 @@ def test_seed_env_override(monkeypatch):
     assert cfg.effective_seed() == 11
     monkeypatch.setenv(SEED_ENV_VAR, "777")
     assert cfg.effective_seed() == 777
+
+
+@pytest.mark.parametrize("value", ["-5", "abc", str(2**64)])
+def test_bad_seed_env_rejected_at_load_time(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    out = tmp_path / "out"
+    assert main(["ergodic", "--config", write_cfg(tmp_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and SEED_ENV_VAR in err
+    assert not out.exists()
 
 
 def test_cmd_ergodic_outputs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spde_ergo.model import (
 )
 from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import (
+    NonConvergenceError,
     PathState,
     SchemeParams,
     convolution_update,
@@ -292,25 +294,70 @@ def test_run_path_identical_seeds_bitwise():
 
 def test_run_path_nonconvergence_keeps_partial_records():
     p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=1)
-    res = run_path(np.full(10, 2.0), 10, p, AC, NoiseStream(7))
+    stream = NoiseStream(7)
+    res = run_path(np.full(10, 2.0), 10, p, AC, stream)
     assert res.error is not None
     assert res.n_steps_done < 10
+    assert res.state.step == res.n_steps_done
+    # the failed step drew its noise block
+    assert stream.step_counter == res.n_steps_done + 1
 
 
 def test_vectorized_matches_per_path():
+    # row k of a 4-path run equals a 1-path run of path k
     x0 = np.full(10, 0.3)
-    finals = {}
 
-    def grab(step, x, w):
-        if step == 60:
-            finals["x"] = x.copy()
-            finals["w"] = w.copy()
+    def final(n_paths, first_path_index=0):
+        out = {}
 
-    run_paths_vectorized(x0, 60, PARAMS, AC, 42, 4, observers=(grab,))
-    for pi in range(4):
-        res = run_path(x0, 60, PARAMS, AC, NoiseStream(42, path_index=pi))
-        np.testing.assert_allclose(finals["x"][pi], res.state.x, atol=1e-11)
-        np.testing.assert_allclose(finals["w"][pi], res.state.w, atol=1e-11)
+        def grab(step, x, w):
+            if step == 60:
+                out["x"], out["w"] = x.copy(), w.copy()
+
+        run_paths_vectorized(x0, 60, PARAMS, AC, 42, n_paths, observers=(grab,),
+                             first_path_index=first_path_index)
+        return out["x"], out["w"]
+
+    batch_x, batch_w = final(4)
+    for k in range(4):
+        x, w = final(1, first_path_index=k)
+        np.testing.assert_allclose(batch_x[k], x[0], atol=1e-11)
+        np.testing.assert_allclose(batch_w[k], w[0], atol=1e-11)
+
+
+def test_run_path_matches_chained_dieg_steps():
+    x0 = np.full(10, 0.3)
+    stream = NoiseStream(42, path_index=3, step_counter=5)
+    seen = []
+    res = run_path(x0, 12, PARAMS, AC, stream,
+                   observers=(lambda step, x, w: seen.append((step, x.shape)),))
+    assert stream.step_counter == 17
+    assert seen == [(j, (10,)) for j in range(13)]
+    state = PathState.initial(x0, NoiseStream(42, path_index=3, step_counter=5))
+    for _ in range(12):
+        state, _ = dieg_step(state, PARAMS, AC)
+    assert state.stream.step_counter == 17
+    assert res.n_steps_done == state.step == 12
+    np.testing.assert_allclose(res.state.x, state.x, atol=1e-11)
+    np.testing.assert_allclose(res.state.w, state.w, atol=1e-11)
+
+
+def test_nan_residual_is_never_converged():
+    # zero noise; the drift is NaN wherever the state exceeds 0.5
+    m = replace(heat_model(constant_diffusion(0.0), 0.0),
+                drift=lambda u: np.where(u > 0.5, np.nan, -u),
+                drift_deriv=lambda u: -np.ones_like(u))
+    x0 = np.zeros((2, 10))
+    x0[1, 0] = 1.0
+    with pytest.raises(NonConvergenceError) as exc:
+        run_paths_vectorized(x0, 5, PARAMS, m, 1, 2, first_path_index=3)
+    assert exc.value.path == 4
+    assert exc.value.step == 0
+    assert "path 4, step 0" in str(exc.value)
+    res = run_path(x0[1], 5, PARAMS, m, NoiseStream(1))
+    assert isinstance(res.error, NonConvergenceError)
+    assert res.n_steps_done == 0
+    np.testing.assert_array_equal(res.state.x, x0[1])
 
 
 def test_coupled_pair_shares_increments():
