@@ -274,6 +274,12 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
             errors.append(f"moment beta must lie in [0, 1/2), got {beta}")
     if cfg.n_sweep is not None and any(n < 1 for n in cfg.n_sweep):
         errors.append("scheme.n_sweep entries must be >= 1")
+    if cfg.noise_modes is not None and cfg.noise_modes < 1:
+        errors.append("scheme.noise_modes must be >= 1")
+    if not cfg.newton_tol > 0:
+        errors.append(f"scheme.newton_tol must be positive, got {cfg.newton_tol}")
+    if cfg.newton_max_iter < 1:
+        errors.append("scheme.newton_max_iter must be >= 1")
     if cfg.epsilon <= 0:
         errors.append("model.epsilon must be positive")
     if not errors:
@@ -285,6 +291,12 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
         else:
             result = validate_step_constraint(model.constants, cfg.tau)
             errors.extend(result.messages)
+            # The dealiasing floor grows with N; check every N a command runs.
+            for n in sorted({cfg.n_modes, *(cfg.n_sweep or ())}):
+                try:
+                    cfg.build_params(n).resolved_quadrature(model)
+                except ValueError as exc:
+                    errors.append(f"scheme.quadrature for N = {n}: {exc}")
     return errors
 
 

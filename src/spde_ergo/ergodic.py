@@ -207,14 +207,15 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     lam = eigenvalues(n)
     lam_pow = {beta: lam**beta for beta in betas}
 
-    # Accumulators over the path ensemble, filled step by step.
-    sum_runavg = np.zeros((len(tags), n_rec))
-    sumsq_runavg = np.zeros((len(tags), n_rec))
+    # Ensemble mean and centred sum of squares of each statistic, step by
+    # step; centring before squaring keeps the variance free of cancellation.
+    mean_runavg = np.zeros((len(tags), n_rec))
+    m2_runavg = np.zeros((len(tags), n_rec))
     finals = np.empty((len(tags), n_paths))
-    sum_xns = np.zeros(n_steps + 1)
-    sumsq_xns = np.zeros(n_steps + 1)
-    sum_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
-    sumsq_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
+    mean_xns = np.zeros(n_steps + 1)
+    m2_xns = np.zeros(n_steps + 1)
+    mean_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
+    m2_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
     phi_cum = np.zeros((len(tags), n_paths))
 
     def eval_tag(tag: str, ns: np.ndarray) -> np.ndarray:
@@ -224,21 +225,23 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
             return np.exp(-ns)
         return np.sin(ns)
 
+    def moments(v: np.ndarray) -> tuple[float, float]:
+        mean = v.mean()
+        d = v - mean
+        return mean, d @ d
+
     def observer(step, x, w):
         ns = (x * x).sum(axis=1)
-        sum_xns[step] = ns.sum()
-        sumsq_xns[step] = ns @ ns
+        mean_xns[step], m2_xns[step] = moments(ns)
         for beta in betas:
-            v = (w * w) @ lam_pow[beta]
-            sum_wsob[beta][step] = v.sum()
-            sumsq_wsob[beta][step] = v @ v
+            mean_wsob[beta][step], m2_wsob[beta][step] = moments(
+                (w * w) @ lam_pow[beta])
         if step > burn_in:
             t = step - burn_in - 1
             for i, tag in enumerate(tags):
                 phi_cum[i] += eval_tag(tag, ns)
                 ra = phi_cum[i] / (t + 1)
-                sum_runavg[i, t] = ra.sum()
-                sumsq_runavg[i, t] = ra @ ra
+                mean_runavg[i, t], m2_runavg[i, t] = moments(ra)
                 if step == n_steps:
                     finals[i] = ra
 
@@ -253,30 +256,23 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     rec_steps = np.arange(burn_in + 1, n_steps + 1)
     all_steps = np.arange(n_steps + 1)
 
-    def reduce(sums, sumsqs):
-        mean = sums / n_paths
-        if n_paths > 1:
-            var = np.maximum(sumsqs / n_paths - mean**2, 0.0) * n_paths / (n_paths - 1)
-            stderr = np.sqrt(var / n_paths)
-        else:
-            stderr = np.zeros_like(mean)
-        return mean, stderr
+    def stderr(m2):
+        # A single path has m2 = 0 and reads a zero stderr.
+        return np.sqrt(m2 / (max(n_paths - 1, 1) * n_paths))
 
     time_averages = {}
     per_path_finals = {}
     for i, tag in enumerate(tags):
-        mean, stderr = reduce(sum_runavg[i], sumsq_runavg[i])
-        time_averages[tag] = RunningAverage(steps=rec_steps, values=mean,
-                                            stderrs=stderr)
+        time_averages[tag] = RunningAverage(steps=rec_steps,
+                                            values=mean_runavg[i],
+                                            stderrs=stderr(m2_runavg[i]))
         per_path_finals[tag] = finals[i].copy()
 
-    x_mean, x_stderr = reduce(sum_xns, sumsq_xns)
-    x_moment = MomentSeries(steps=all_steps, values=x_mean, stderrs=x_stderr)
-    w_moments = {}
-    for beta in betas:
-        w_mean, w_stderr = reduce(sum_wsob[beta], sumsq_wsob[beta])
-        w_moments[beta] = MomentSeries(steps=all_steps, values=w_mean,
-                                       stderrs=w_stderr)
+    x_moment = MomentSeries(steps=all_steps, values=mean_xns,
+                            stderrs=stderr(m2_xns))
+    w_moments = {beta: MomentSeries(steps=all_steps, values=mean_wsob[beta],
+                                    stderrs=stderr(m2_wsob[beta]))
+                 for beta in betas}
 
     return EnsembleResult(
         config=cfg,

@@ -149,7 +149,7 @@ def allen_cahn_model(epsilon: float, diffusion: ScalarFn | None = None,
         q=3.0,
     )
     return CoefficientModel(
-        drift=lambda x: inv2 * (x - x**3),
+        drift=lambda x: inv2 * (x - x * x * x),
         drift_deriv=lambda x: inv2 * (1.0 - 3.0 * x**2),
         diffusion=diffusion,
         constants=constants,

@@ -1,10 +1,9 @@
 """Reproducible per-path Gaussian increment streams.
 
-Increments are counter-based: the block of N_w standard normals for a given
-(master_seed, path_index, step_counter) is a pure function of those values,
-generated from a Philox bit stream keyed on the seed with the (path, step)
-pair placed in the counter. Any worker may therefore generate any (path,
-step) increment independently and reproducibly.
+Increments are counter-based (Salmon et al., SC'11): block (path, step) is a
+pure function of (master_seed, path, step), whatever the batching. Normals
+4b..4b+3 of it come from Philox, keyed on the seed, at counter (path, b,
+step, 0), so its first n values do not depend on how many are drawn.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ __all__ = [
 
 
 class PhiloxBlockSource:
-    """Fast repeated access to the (path, step) blocks of one seeded family.
+    """The (path, step) noise blocks of one seeded family.
 
-    Produces exactly the same values as NoiseStream.block by resetting a
-    private Philox bit stream to the (path, step) counter before each draw,
-    which avoids per-call generator construction. Not safe to share across
-    threads; each worker should own its own source.
+    Keeps one Philox bit generator and moves its counter with advance(),
+    which is cheaper than constructing one per draw. Not safe to share
+    across threads; each worker should own its own source.
     """
 
     def __init__(self, master_seed: int):
@@ -39,19 +37,26 @@ class PhiloxBlockSource:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         self.master_seed = master_seed
         self._bitgen = np.random.Philox(key=master_seed)
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
-        self._counter = self._state["state"]["counter"]
+        self._uniform = np.random.Generator(self._bitgen).random
+        self._at = 0  # counter value of the bit generator
 
-    def normals(self, path_index: int, step: int, n_values: int) -> np.ndarray:
-        """Standard normals of block (path_index, step)."""
-        self._counter[2] = step
-        self._counter[3] = path_index
-        self._bitgen.state = self._state
-        return self._gen.standard_normal(n_values)
+    def normals(self, first_path: int, n_paths: int, step: int,
+                n_values: int) -> np.ndarray:
+        """(n_paths, n_values) normals; row p is block (first_path + p, step).
+
+        Lane block b is one draw, with the paths contiguous in counter word 0.
+        """
+        # u[b, p, k] holds the (radius, angle) uniforms of Box-Muller pair k.
+        u = np.empty((-(-n_values // 4), n_paths, 2, 2))
+        for b in range(len(u)):
+            # Philox steps its counter before it computes the next words.
+            start = first_path + (b << 64) + (step << 128) - 1
+            self._bitgen.advance((start - self._at) % 2**256)
+            self._uniform(out=u[b])
+            self._at = start + n_paths
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0]))  # 1 - u lies in (0, 1]
+        z = radius * np.exp(2j * math.pi * u[..., 1])
+        return z.view(float).transpose(1, 0, 2).reshape(n_paths, -1)[:, :n_values]
 
 
 @dataclass
@@ -70,11 +75,8 @@ class NoiseStream:
 
     def block(self, n_values: int) -> np.ndarray:
         """Standard normals for the current (path, step); does not advance."""
-        bg = np.random.Philox(
-            key=self.master_seed,
-            counter=[0, 0, self.step_counter, self.path_index],
-        )
-        return np.random.Generator(bg).standard_normal(n_values)
+        return PhiloxBlockSource(self.master_seed).normals(
+            self.path_index, 1, self.step_counter, n_values)[0]
 
 
 def gaussian_increments(stream: NoiseStream, noise_modes: int, tau: float) -> np.ndarray:

@@ -349,16 +349,14 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
         raise ValueError(f"x0 has {x.shape[1]} modes, scheme expects {ws.n}")
     w = np.zeros_like(x)
     source = PhiloxBlockSource(master_seed)
-    dbeta = np.empty((n_paths, ws.n_w))
     sqrt_tau = math.sqrt(ws.tau)
     for obs in observers:
         obs(0, x, w)
     max_iters = 0
     max_res = 0.0
     for j in range(n_steps):
-        for p in range(n_paths):
-            dbeta[p] = source.normals(first_path_index + p, first_step + j, ws.n_w)
-        dbeta *= sqrt_tau
+        dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
+                                          first_step + j, ws.n_w)
         x, w, iters, res = ws.advance(x, w, dbeta, j, first_path_index)
         max_iters = max(max_iters, iters)
         max_res = max(max_res, res)

@@ -109,6 +109,23 @@ def test_errors_are_collected_not_first_only():
     assert len(exc.value.messages) >= 3  # parse error, unknown key, missing keys
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("scheme.noise_modes = 0", "scheme.noise_modes"),
+    ("scheme.newton_tol = 0", "scheme.newton_tol"),
+    ("scheme.newton_tol = nan", "scheme.newton_tol"),
+    ("scheme.newton_max_iter = 0", "scheme.newton_max_iter"),
+    # Q = 50 clears the N = 10 floor but not the N = 20 one.
+    ("scheme.quadrature = 50\nscheme.n_sweep = 10, 20", "scheme.quadrature for N = 20"),
+])
+def test_bad_scheme_value_rejected_before_any_run(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY + extra + "\n")
+    assert main(["convolution", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 def test_unknown_initial_rejected():
     with pytest.raises(ConfigError, match="unknown initial"):
         parse_config(TINY.replace("sine, mix_minus", "cosine"))

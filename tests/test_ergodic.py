@@ -154,9 +154,22 @@ def test_stderr_matches_two_pass_computation():
     finals = res.per_path_finals["norm_sq"]
     expected = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
     assert res.time_averages["norm_sq"].final_stderr == pytest.approx(
-        expected, rel=1e-10)
+        expected, rel=1e-13)
     assert res.time_averages["norm_sq"].final == pytest.approx(
         float(np.mean(finals)), rel=1e-12)
+
+
+def test_stderr_survives_a_large_mean():
+    # Weak noise on a deterministic decay: the variance across paths is
+    # ~1e-14 of the squared mean, so mean(v**2) - mean(v)**2 keeps almost
+    # none of its digits.
+    cfg = linear_cfg(model=heat_model(constant_diffusion(1e-7), 1e-7),
+                     initial="mix_plus", n_paths=12, n_steps=30)
+    res = run_ensemble(cfg)
+    finals = res.per_path_finals["norm_sq"]
+    expected = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
+    assert res.time_averages["norm_sq"].final_stderr == pytest.approx(
+        expected, rel=1e-13)
 
 
 def test_ensemble_bitwise_deterministic():
