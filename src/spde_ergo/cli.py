@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -164,18 +165,6 @@ class RunConfig:
 
 
 # section.key -> (attribute, parser); parser raises ValueError on bad input.
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
 def _parse_list(item_parser):
     def parse(s):
         return tuple(item_parser(part.strip()) for part in s.split(",") if part.strip())
@@ -184,24 +173,24 @@ def _parse_list(item_parser):
 
 
 _SCHEMA = {
-    "model.name": ("model_name", _parse_str),
-    "model.epsilon": ("epsilon", _parse_float),
-    "model.diffusion": ("diffusion", _parse_str),
-    "scheme.n_modes": ("n_modes", _parse_int),
-    "scheme.tau": ("tau", _parse_float),
-    "scheme.noise_modes": ("noise_modes", _parse_int),
-    "scheme.quadrature": ("quadrature", _parse_int),
-    "scheme.newton_tol": ("newton_tol", _parse_float),
-    "scheme.newton_max_iter": ("newton_max_iter", _parse_int),
-    "scheme.n_sweep": ("n_sweep", _parse_list(_parse_int)),
-    "run.steps": ("steps", _parse_int),
-    "run.paths": ("paths", _parse_int),
-    "run.seed": ("seed", _parse_int),
-    "run.burn_in": ("burn_in", _parse_int),
-    "run.initials": ("initials", _parse_list(_parse_str)),
-    "run.functionals": ("functionals", _parse_list(_parse_str)),
-    "run.moment_betas": ("moment_betas", _parse_list(_parse_float)),
-    "output.directory": ("directory", _parse_str),
+    "model.name": ("model_name", str),
+    "model.epsilon": ("epsilon", float),
+    "model.diffusion": ("diffusion", str),
+    "scheme.n_modes": ("n_modes", int),
+    "scheme.tau": ("tau", float),
+    "scheme.noise_modes": ("noise_modes", int),
+    "scheme.quadrature": ("quadrature", int),
+    "scheme.newton_tol": ("newton_tol", float),
+    "scheme.newton_max_iter": ("newton_max_iter", int),
+    "scheme.n_sweep": ("n_sweep", _parse_list(int)),
+    "run.steps": ("steps", int),
+    "run.paths": ("paths", int),
+    "run.seed": ("seed", int),
+    "run.burn_in": ("burn_in", int),
+    "run.initials": ("initials", _parse_list(str)),
+    "run.functionals": ("functionals", _parse_list(str)),
+    "run.moment_betas": ("moment_betas", _parse_list(float)),
+    "output.directory": ("directory", str),
 }
 
 _REQUIRED_KEYS = ("model.name", "scheme.n_modes", "scheme.tau",
@@ -276,12 +265,13 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
         errors.append("scheme.n_sweep entries must be >= 1")
     if cfg.noise_modes is not None and cfg.noise_modes < 1:
         errors.append("scheme.noise_modes must be >= 1")
-    if not cfg.newton_tol > 0:
-        errors.append(f"scheme.newton_tol must be positive, got {cfg.newton_tol}")
+    if not 0 < cfg.newton_tol < math.inf:
+        errors.append(
+            f"scheme.newton_tol must be finite and positive, got {cfg.newton_tol}")
     if cfg.newton_max_iter < 1:
         errors.append("scheme.newton_max_iter must be >= 1")
-    if cfg.epsilon <= 0:
-        errors.append("model.epsilon must be positive")
+    if not cfg.epsilon > 0:
+        errors.append(f"model.epsilon must be positive, got {cfg.epsilon}")
     if not errors:
         # Step-size admissibility needs the model constants.
         try:

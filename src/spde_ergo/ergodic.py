@@ -49,26 +49,23 @@ __all__ = [
     "agreement_check",
 ]
 
-FUNCTIONAL_TAGS = ("exp_neg_norm_sq", "sin_norm_sq", "norm_sq")
+_FUNCTIONALS = {
+    "exp_neg_norm_sq": lambda ns: np.exp(-ns),
+    "sin_norm_sq": np.sin,
+    "norm_sq": lambda ns: ns,
+}
+
+FUNCTIONAL_TAGS = tuple(_FUNCTIONALS)
 
 INITIAL_DATA_IDS = ("sine", "mix_plus", "mix_minus")
 
 
 def functional_eval(tag: str, c) -> float:
     """Evaluate a test functional of the L2 norm (via Parseval) at c."""
+    if tag not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional tag {tag!r}")
     arr = _coeff_array(c)
-    ns = float(arr @ arr)
-    return _eval_from_norm_sq(tag, ns)
-
-
-def _eval_from_norm_sq(tag: str, norm_sq: float) -> float:
-    if tag == "norm_sq":
-        return norm_sq
-    if tag == "exp_neg_norm_sq":
-        return math.exp(-norm_sq)
-    if tag == "sin_norm_sq":
-        return math.sin(norm_sq)
-    raise ValueError(f"unknown functional tag {tag!r}")
+    return float(_FUNCTIONALS[tag](float(arr @ arr)))
 
 
 def initial_datum(name: str, n_modes: int) -> SpectralCoeffs:
@@ -97,7 +94,12 @@ def initial_datum(name: str, n_modes: int) -> SpectralCoeffs:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Ensemble mean and standard error of one scalar quantity per step."""
+    """Ensemble mean and standard error of one scalar quantity per step.
+
+    For a running time average, values[i] is the mean over paths of the
+    per-path time average up to steps[i], and stderrs[i] the across-path
+    standard error of those per-path averages.
+    """
 
     steps: np.ndarray
     values: np.ndarray
@@ -112,20 +114,6 @@ class MomentSeries:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-
-@dataclass(frozen=True)
-class RunningAverage:
-    """Ensemble running time average of one functional.
-
-    values[i] is the mean over paths of the per-path time average up to
-    steps[i]; stderrs[i] the across-path standard error of those per-path
-    averages.
-    """
-
-    steps: np.ndarray
-    values: np.ndarray
-    stderrs: np.ndarray
-
     @property
     def final(self) -> float:
         return float(self.values[-1])
@@ -133,6 +121,9 @@ class RunningAverage:
     @property
     def final_stderr(self) -> float:
         return float(self.stderrs[-1])
+
+
+RunningAverage = MomentSeries
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,7 @@ class EnsembleResult:
     """All diagnostics of one ensemble run."""
 
     config: EnsembleConfig
-    time_averages: dict[str, RunningAverage]
+    time_averages: dict[str, MomentSeries]
     x_moment: MomentSeries
     w_moments: dict[float, MomentSeries]
     max_newton_iters: int
@@ -197,91 +188,63 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     """
     params, model = cfg.params, cfg.model
     params.validate(model)
-    n = params.n_modes
-    x0 = cfg.initial_coeffs().coeffs
-    n_steps, burn_in = cfg.n_steps, cfg.burn_in
-    n_rec = n_steps - burn_in
-    n_paths = cfg.n_paths
-    tags = cfg.functionals
-    betas = cfg.moment_betas
-    lam = eigenvalues(n)
-    lam_pow = {beta: lam**beta for beta in betas}
+    n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
+    lam = eigenvalues(params.n_modes)
+    lam_pows = [lam**beta for beta in cfg.moment_betas]
+    phis = [_FUNCTIONALS[tag] for tag in cfg.functionals]
 
-    # Ensemble mean and centred sum of squares of each statistic, step by
-    # step; centring before squaring keeps the variance free of cancellation.
-    mean_runavg = np.zeros((len(tags), n_rec))
-    m2_runavg = np.zeros((len(tags), n_rec))
-    finals = np.empty((len(tags), n_paths))
-    mean_xns = np.zeros(n_steps + 1)
-    m2_xns = np.zeros(n_steps + 1)
-    mean_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
-    m2_wsob = {beta: np.zeros(n_steps + 1) for beta in betas}
-    phi_cum = np.zeros((len(tags), n_paths))
-
-    def eval_tag(tag: str, ns: np.ndarray) -> np.ndarray:
-        if tag == "norm_sq":
-            return ns
-        if tag == "exp_neg_norm_sq":
-            return np.exp(-ns)
-        return np.sin(ns)
-
-    def moments(v: np.ndarray) -> tuple[float, float]:
-        mean = v.mean()
-        d = v - mean
-        return mean, d @ d
+    # One row per statistic and one column per path: ||X||^2, then
+    # ||W||_beta^2 per beta, then each running time average after burn-in.
+    first_avg = 1 + len(lam_pows)
+    block = np.empty((first_avg + len(phis), n_paths))
+    phi_cum = np.zeros((len(phis), n_paths))
+    # Ensemble mean and centred sum of squares of each row, step by step;
+    # centring before squaring keeps the variance free of cancellation.
+    mean = np.zeros((len(block), n_steps + 1))
+    m2 = np.zeros_like(mean)
 
     def observer(step, x, w):
-        ns = (x * x).sum(axis=1)
-        mean_xns[step], m2_xns[step] = moments(ns)
-        for beta in betas:
-            mean_wsob[beta][step], m2_wsob[beta][step] = moments(
-                (w * w) @ lam_pow[beta])
+        block[0] = (x * x).sum(axis=1)
+        ww = w * w
+        for r, lam_pow in enumerate(lam_pows, start=1):
+            block[r] = ww @ lam_pow
+        n_rows = first_avg
         if step > burn_in:
-            t = step - burn_in - 1
-            for i, tag in enumerate(tags):
-                phi_cum[i] += eval_tag(tag, ns)
-                ra = phi_cum[i] / (t + 1)
-                mean_runavg[i, t], m2_runavg[i, t] = moments(ra)
-                if step == n_steps:
-                    finals[i] = ra
+            for cum, phi in zip(phi_cum, phis):
+                cum += phi(block[0])
+            block[first_avg:] = phi_cum / (step - burn_in)
+            n_rows = len(block)
+        for r in range(n_rows):
+            v = block[r]
+            mu = mean[r, step] = v.mean()
+            d = v - mu
+            m2[r, step] = d @ d
 
     try:
         max_iters, max_res = run_paths_vectorized(
-            x0, n_steps, params, model, cfg.master_seed, n_paths,
-            observers=(observer,))
+            cfg.initial_coeffs().coeffs, n_steps, params, model,
+            cfg.master_seed, n_paths, observers=(observer,))
     except (NonConvergenceError, SingularLinearSolveError) as exc:
         raise EnsembleError([(f"initial {cfg.initial!r}", exc)]) from exc
 
-    n_paths = cfg.n_paths
-    rec_steps = np.arange(burn_in + 1, n_steps + 1)
-    all_steps = np.arange(n_steps + 1)
+    steps = np.arange(n_steps + 1)
+    # A single path has m2 = 0 and reads a zero stderr.
+    stderr = np.sqrt(m2 / (max(n_paths - 1, 1) * n_paths))
 
-    def stderr(m2):
-        # A single path has m2 = 0 and reads a zero stderr.
-        return np.sqrt(m2 / (max(n_paths - 1, 1) * n_paths))
-
-    time_averages = {}
-    per_path_finals = {}
-    for i, tag in enumerate(tags):
-        time_averages[tag] = RunningAverage(steps=rec_steps,
-                                            values=mean_runavg[i],
-                                            stderrs=stderr(m2_runavg[i]))
-        per_path_finals[tag] = finals[i].copy()
-
-    x_moment = MomentSeries(steps=all_steps, values=mean_xns,
-                            stderrs=stderr(m2_xns))
-    w_moments = {beta: MomentSeries(steps=all_steps, values=mean_wsob[beta],
-                                    stderrs=stderr(m2_wsob[beta]))
-                 for beta in betas}
+    def series(row: int, start: int = 0) -> MomentSeries:
+        return MomentSeries(steps[start:], mean[row, start:], stderr[row, start:])
 
     return EnsembleResult(
         config=cfg,
-        time_averages=time_averages,
-        x_moment=x_moment,
-        w_moments=w_moments,
+        time_averages={tag: series(first_avg + i, burn_in + 1)
+                       for i, tag in enumerate(cfg.functionals)},
+        x_moment=series(0),
+        w_moments={beta: series(r)
+                   for r, beta in enumerate(cfg.moment_betas, start=1)},
         max_newton_iters=max_iters,
         max_residual=max_res,
-        per_path_finals=per_path_finals,
+        per_path_finals=dict(zip(cfg.functionals,
+                                 phi_cum / (n_steps - burn_in))),
     )
 
 

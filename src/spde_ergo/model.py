@@ -131,9 +131,14 @@ def allen_cahn_model(epsilon: float, diffusion: ScalarFn | None = None,
     coercivity pair K2 = -1, K3 = (eps^-2 + 1)^2 / (4 eps^-2), which is the
     maximum of eps^-2 (a^2 - a^4) + a^2 over a.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    inv2 = epsilon**-2
+    try:
+        inv2 = epsilon**-2
+        K3 = (inv2 + 1.0) ** 2 / (4.0 * inv2)
+    except (OverflowError, ZeroDivisionError):  # eps**-2 overflows or is 0
+        K3 = math.inf
+    if not (epsilon > 0 and K3 < math.inf):
+        raise ValueError(
+            f"epsilon must be positive with finite eps**-2 and K3, got {epsilon}")
     if diffusion is None:
         diffusion = paper_diffusion()
         K6 = 3.0 if K6 is None else K6
@@ -142,7 +147,7 @@ def allen_cahn_model(epsilon: float, diffusion: ScalarFn | None = None,
     constants = ModelConstants(
         K1=inv2,
         K2=-1.0,
-        K3=(inv2 + 1.0) ** 2 / (4.0 * inv2),
+        K3=K3,
         K4=2.0 * inv2,
         K5=inv2,
         K6=K6,

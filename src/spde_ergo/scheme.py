@@ -88,8 +88,9 @@ class SchemeParams:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.noise_modes is not None and self.noise_modes < 1:
             raise ValueError("noise_modes must be >= 1")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
+        if not 0 < self.newton_tol < math.inf or self.newton_max_iter < 1:
+            raise ValueError(
+                "newton_tol must be finite and positive, newton_max_iter >= 1")
 
     def resolved_noise_modes(self) -> int:
         return self.noise_modes if self.noise_modes is not None else self.n_modes

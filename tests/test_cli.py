@@ -113,6 +113,7 @@ def test_errors_are_collected_not_first_only():
     ("scheme.noise_modes = 0", "scheme.noise_modes"),
     ("scheme.newton_tol = 0", "scheme.newton_tol"),
     ("scheme.newton_tol = nan", "scheme.newton_tol"),
+    ("scheme.newton_tol = inf", "scheme.newton_tol"),
     ("scheme.newton_max_iter = 0", "scheme.newton_max_iter"),
     # Q = 50 clears the N = 10 floor but not the N = 20 one.
     ("scheme.quadrature = 50\nscheme.n_sweep = 10, 20", "scheme.quadrature for N = 20"),
@@ -123,6 +124,16 @@ def test_bad_scheme_value_rejected_before_any_run(tmp_path, capsys, extra, messa
     assert main(["convolution", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "1e200", "nan"])
+def test_degenerate_epsilon_rejected_before_any_run(tmp_path, capsys, epsilon):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("epsilon = 0.5", f"epsilon = {epsilon}"))
+    assert main(["ergodic", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "epsilon" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spde_ergo.ergodic import (
+    FUNCTIONAL_TAGS,
     EnsembleConfig,
     LyapunovReference,
     MomentSeries,
@@ -129,23 +130,33 @@ def test_single_path_single_step_matches_dieg_step():
         float(new_state.x @ new_state.x), rel=1e-12)
 
 
-def test_running_average_recomputation():
-    # final time average equals the plain mean of all logged phi values
-    cfg = linear_cfg(model=allen_cahn_model(0.5), n_paths=5, n_steps=40)
+@pytest.mark.parametrize("burn_in", [0, 7])
+@pytest.mark.parametrize("tag", FUNCTIONAL_TAGS)
+def test_running_average_recomputation(tag, burn_in):
+    # each running average is the plain mean of phi over steps burn_in+1..j,
+    # recomputed path by path
+    cfg = linear_cfg(model=allen_cahn_model(0.5), n_paths=5, n_steps=40,
+                     burn_in=burn_in)
     res = run_ensemble(cfg)
-    logged = []
+    phi = np.empty((cfg.n_paths, cfg.n_steps + 1))
     for p in range(cfg.n_paths):
-        vals = []
 
-        def rec(step, x, w, acc=vals):
-            if step >= 1:
-                acc.append(float(np.exp(-(x @ x))))
+        def rec(step, x, w, row=phi[p]):
+            row[step] = functional_eval(tag, x)
 
-        run_path(initial_datum("sine", 10).coeffs, 40, cfg.params, cfg.model,
-                 NoiseStream(cfg.master_seed, path_index=p), observers=(rec,))
-        logged.extend(vals)
-    assert res.time_averages["exp_neg_norm_sq"].final == pytest.approx(
-        float(np.mean(logged)), abs=1e-12)
+        run_path(initial_datum("sine", 10).coeffs, cfg.n_steps, cfg.params,
+                 cfg.model, NoiseStream(cfg.master_seed, path_index=p),
+                 observers=(rec,))
+    logged = phi[:, burn_in + 1:]
+    running = np.cumsum(logged, axis=1) / np.arange(1, logged.shape[1] + 1)
+    avg = res.time_averages[tag]
+    assert avg.steps[0] == burn_in + 1
+    np.testing.assert_array_equal(avg.steps,
+                                  np.arange(burn_in + 1, cfg.n_steps + 1))
+    np.testing.assert_allclose(avg.values, running.mean(axis=0),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.per_path_finals[tag], logged.mean(axis=1),
+                               rtol=0, atol=1e-12)
 
 
 def test_stderr_matches_two_pass_computation():

@@ -63,6 +63,10 @@ def test_allen_cahn_rejects_bad_epsilon():
         allen_cahn_model(0.0)
     with pytest.raises(ValueError):
         allen_cahn_model(-1.0)
+    # eps**-2 underflows to 0, is NaN, or K3 = (eps**-2 + 1)**2 / ... overflows
+    for eps in (math.inf, 1e200, math.nan, 1e-100):
+        with pytest.raises(ValueError):
+            allen_cahn_model(eps)
 
 
 def test_drift_derivative_matches_finite_differences(ac_model):

@@ -42,8 +42,9 @@ def test_params_validation():
         SchemeParams(n_modes=0, tau=TAU)
     with pytest.raises(ValueError):
         SchemeParams(n_modes=4, tau=1.5)
-    with pytest.raises(ValueError):
-        SchemeParams(n_modes=4, tau=TAU, newton_tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SchemeParams(n_modes=4, tau=TAU, newton_tol=tol)
     # stiff drift violates the monotonicity step constraint
     stiff = allen_cahn_model(0.1)
     with pytest.raises(ValueError):
