@@ -3,6 +3,8 @@ with multiplicative white noise, plus a Monte Carlo ergodicity harness."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .spectral import (
     SpectralCoeffs,
     PhysicalGrid,
@@ -29,17 +31,12 @@ from .model import (
     noise_matrix,
     validate_nondegeneracy,
 )
-from .noise import NoiseStream, gaussian_increments, multiplicative_increment
+from .noise import NoiseStream, multiplicative_increment
 from .scheme import (
     SchemeParams,
-    PathState,
-    StepDiagnostics,
-    PathResult,
     NonConvergenceError,
     SingularLinearSolveError,
     implicit_solve,
-    dieg_step,
-    convolution_update,
     random_pde_residual,
     run_path,
 )
@@ -60,4 +57,7 @@ from .ergodic import (
     agreement_check,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing from a submodule also binds the submodule itself; export only the
+# imported names.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -114,18 +114,28 @@ class RunConfig:
             return paper_diffusion(), 3.0
         if self.diffusion == "zero":
             return constant_diffusion(0.0), 0.0
-        if self.diffusion.startswith("constant:"):
-            value = float(self.diffusion.split(":", 1)[1])
-            return constant_diffusion(value), abs(value)
-        raise ConfigError([f"unknown diffusion spec {self.diffusion!r}"])
+        kind, _, value = self.diffusion.partition(":")
+        if kind == "constant":
+            try:
+                level = float(value)
+            except ValueError:
+                pass
+            else:
+                return constant_diffusion(level), abs(level)
+        raise ConfigError([f"model.diffusion must be paper, zero or "
+                           f"constant:<number>, got {self.diffusion!r}"])
 
     def build_model(self) -> CoefficientModel:
         g, k6 = self.build_diffusion()
         if self.model_name == "allen_cahn":
-            return allen_cahn_model(self.epsilon, diffusion=g, K6=k6)
+            try:
+                return allen_cahn_model(self.epsilon, diffusion=g, K6=k6)
+            except ValueError as exc:
+                raise ConfigError([f"model.epsilon: {exc}"]) from exc
         if self.model_name == "heat":
             return heat_model(g, k6)
-        raise ConfigError([f"unknown model name {self.model_name!r}"])
+        raise ConfigError([f"model.name must be allen_cahn or heat, "
+                           f"got {self.model_name!r}"])
 
     def build_params(self, n_modes: int | None = None) -> SchemeParams:
         return SchemeParams(
@@ -167,7 +177,10 @@ class RunConfig:
 # section.key -> (attribute, parser); parser raises ValueError on bad input.
 def _parse_list(item_parser):
     def parse(s):
-        return tuple(item_parser(part.strip()) for part in s.split(",") if part.strip())
+        items = tuple(item_parser(part.strip()) for part in s.split(",") if part.strip())
+        if not items or len(set(items)) < len(items):
+            raise ValueError("expected at least one entry, each listed once")
+        return items
 
     return parse
 
@@ -224,8 +237,8 @@ def parse_config(text: str) -> RunConfig:
         attr, parser = _SCHEMA[key]
         try:
             fields[attr] = parser(value)
-        except ValueError:
-            errors.append(f"line {lineno}: cannot parse value {value!r} for {key}")
+        except ValueError as exc:
+            errors.append(f"line {lineno}: cannot parse value {value!r} for {key}: {exc}")
     for key in _REQUIRED_KEYS:
         if key not in seen:
             errors.append(f"missing required key {key}")
@@ -253,8 +266,6 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
     for initial in cfg.initials:
         if initial not in INITIAL_DATA_IDS:
             errors.append(f"unknown initial datum {initial!r}")
-    if not cfg.initials:
-        errors.append("run.initials must list at least one initial datum")
     for tag in cfg.functionals:
         if tag not in FUNCTIONAL_TAGS:
             errors.append(f"unknown functional {tag!r}")
@@ -276,8 +287,8 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
         # Step-size admissibility needs the model constants.
         try:
             model = cfg.build_model()
-        except (ConfigError, ValueError) as exc:
-            errors.append(str(exc))
+        except ConfigError as exc:
+            errors.extend(exc.messages)
         else:
             result = validate_step_constraint(model.constants, cfg.tau)
             errors.extend(result.messages)
@@ -469,11 +480,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         traj_x.append(x.copy())
         traj_w.append(w.copy())
 
-    stream = NoiseStream(cfg.effective_seed(), path_index=0)
-    result = run_path(x0.coeffs, cfg.steps, params, model, stream,
-                      observers=(recorder,))
-    if result.error is not None:
-        raise result.error
+    max_iters, _ = run_path(x0.coeffs, cfg.steps, params, model,
+                            NoiseStream(cfg.effective_seed()), observers=(recorder,))
 
     rows = []
     for step, (x, w) in enumerate(zip(traj_x, traj_w)):
@@ -489,7 +497,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     summary = _base_summary(cfg, t0)
     summary["initial"] = initial
     summary["max_residual"] = float(np.max(residuals)) if residuals.size else 0.0
-    summary["max_newton_iters"] = result.max_newton_iters
+    summary["max_newton_iters"] = max_iters
     _write_summary(out_dir / "summary.json", summary)
     return 0
 

@@ -19,7 +19,6 @@ from .spectral import SpectralCoeffs, _coeff_array
 __all__ = [
     "NoiseStream",
     "PhiloxBlockSource",
-    "gaussian_increments",
     "multiplicative_increment",
 ]
 
@@ -59,9 +58,12 @@ class PhiloxBlockSource:
         return z.view(float).transpose(1, 0, 2).reshape(n_paths, -1)[:, :n_values]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseStream:
-    """Position (path_index, step_counter) in a seeded family of streams."""
+    """Address (path_index, step_counter) of a noise block in a seeded family.
+
+    scheme.run_path starts a path here: step j draws block step_counter + j.
+    """
 
     master_seed: int
     path_index: int = 0
@@ -74,20 +76,9 @@ class NoiseStream:
             raise ValueError("path_index and step_counter must be nonnegative")
 
     def block(self, n_values: int) -> np.ndarray:
-        """Standard normals for the current (path, step); does not advance."""
+        """Standard normals of the block at this (path, step)."""
         return PhiloxBlockSource(self.master_seed).normals(
             self.path_index, 1, self.step_counter, n_values)[0]
-
-
-def gaussian_increments(stream: NoiseStream, noise_modes: int, tau: float) -> np.ndarray:
-    """Draw (db_1, ..., db_{N_w}) i.i.d. Normal(0, tau) and advance the stream."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if noise_modes < 1:
-        raise ValueError(f"noise_modes must be >= 1, got {noise_modes}")
-    draws = stream.block(noise_modes) * math.sqrt(tau)
-    stream.step_counter += 1
-    return draws
 
 
 def multiplicative_increment(c, model: CoefficientModel, dbeta: np.ndarray,

@@ -25,19 +25,14 @@ from .model import (
     default_quadrature,
     validate_step_constraint,
 )
-from .noise import NoiseStream, PhiloxBlockSource, gaussian_increments
-from .spectral import SpectralCoeffs, _coeff_array, eigenvalues, resolvent_apply
+from .noise import NoiseStream, PhiloxBlockSource
+from .spectral import SpectralCoeffs, _coeff_array, eigenvalues, resolvent_factors
 
 __all__ = [
     "SchemeParams",
-    "PathState",
-    "StepDiagnostics",
-    "PathResult",
     "NonConvergenceError",
     "SingularLinearSolveError",
     "implicit_solve",
-    "dieg_step",
-    "convolution_update",
     "random_pde_residual",
     "run_path",
     "run_paths_vectorized",
@@ -112,50 +107,6 @@ class SchemeParams:
             raise ValueError("; ".join(result.messages))
 
 
-@dataclass
-class PathState:
-    """Coupled pair (X_j, W_j) with the path's noise stream.
-
-    The convolution w starts at zero (its defining sum is empty at j = 0).
-    """
-
-    x: np.ndarray
-    w: np.ndarray
-    step: int
-    stream: NoiseStream
-
-    def __post_init__(self):
-        self.x = _coeff_array(self.x)
-        self.w = _coeff_array(self.w)
-        if self.x.shape != self.w.shape:
-            raise ValueError("x and w must share n_modes")
-        if self.step < 0:
-            raise ValueError("step must be nonnegative")
-
-    @classmethod
-    def initial(cls, x0, stream: NoiseStream) -> "PathState":
-        arr = _coeff_array(x0)
-        return cls(x=arr, w=np.zeros_like(arr), step=0, stream=stream)
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    newton_iters: int
-    final_residual: float
-    c0: float
-
-
-@dataclass
-class PathResult:
-    """Per-path outcome: final state plus solver diagnostics summary."""
-
-    state: PathState
-    n_steps_done: int
-    max_newton_iters: int = 0
-    max_residual: float = 0.0
-    error: Exception | None = None
-
-
 class _Workspace(GalerkinOperators):
     """Precomputed quantities for stepping (P, N) rows of independent paths.
 
@@ -169,10 +120,8 @@ class _Workspace(GalerkinOperators):
         super().__init__(model, params.n_modes, self.n_w,
                          params.resolved_quadrature(model))
         self.tau = params.tau
-        lam = eigenvalues(self.n)
-        self.one_plus = 1.0 + self.tau * lam
-        self.res_factors = 1.0 / self.one_plus
-        self.c0 = 1.0 - (model.constants.K1 - lam[0]) * self.tau
+        self.one_plus = 1.0 + self.tau * eigenvalues(self.n)
+        self.res_factors = resolvent_factors(self.n, self.tau)
         self.tol = params.newton_tol
         self.max_iter = params.newton_max_iter
 
@@ -247,13 +196,6 @@ class _Workspace(GalerkinOperators):
             iters += 1
         return x, iters, float(rnorm.max())
 
-    def advance(self, x: np.ndarray, w: np.ndarray, dbeta: np.ndarray, step: int,
-                first_path: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """One DIEG step of every row; chain and convolution share the noise."""
-        noise = self.noise(x, dbeta)
-        x_new, iters, res = self.newton(x + noise, x, step, first_path)
-        return x_new, self.res_factors * (w + noise), iters, res
-
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     # np.linalg.norm(a, axis=1) without its per-call overhead; same rounding.
@@ -261,40 +203,16 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def implicit_solve(rhs, params: SchemeParams, model: CoefficientModel,
-                   guess=None) -> tuple[SpectralCoeffs, StepDiagnostics]:
+                   guess=None) -> tuple[SpectralCoeffs, int, float]:
     """Solve F_hat(x) = rhs, F_hat(x) = (I + tau*Lambda) x - tau P_N F(x).
 
     The solution is unique whenever (K1 - lambda_1) tau < 1 (strict
-    monotonicity of F_hat).
+    monotonicity of F_hat). Returns (x, Newton iterations, final residual).
     """
-    ws = _Workspace(params, model)
     rhs_arr = _coeff_array(rhs)
     guess_arr = rhs_arr if guess is None else _coeff_array(guess)
-    x, iters, res = ws.newton(rhs_arr[None], guess_arr[None])
-    return SpectralCoeffs(x[0]), StepDiagnostics(newton_iters=iters,
-                                                 final_residual=res, c0=ws.c0)
-
-
-def dieg_step(state: PathState, params: SchemeParams,
-              model: CoefficientModel) -> tuple[PathState, StepDiagnostics]:
-    """Advance one DIEG step; chain and convolution consume the same increments."""
-    ws = _Workspace(params, model)
-    dbeta = gaussian_increments(state.stream, ws.n_w, ws.tau)
-    x, w, iters, res = ws.advance(state.x[None], state.w[None], dbeta[None],
-                                  state.step, state.stream.path_index)
-    new_state = PathState(x=x[0], w=w[0], step=state.step + 1,
-                          stream=state.stream)
-    return new_state, StepDiagnostics(newton_iters=iters, final_residual=res,
-                                      c0=ws.c0)
-
-
-def convolution_update(w, noise, params: SchemeParams) -> SpectralCoeffs:
-    """One recursion of the discrete stochastic convolution: S_{N,tau} (w + noise)."""
-    w_arr = _coeff_array(w)
-    noise_arr = _coeff_array(noise)
-    if w_arr.shape != noise_arr.shape:
-        raise ValueError("w and noise must share n_modes")
-    return resolvent_apply(w_arr + noise_arr, params.tau)
+    x, iters, res = _Workspace(params, model).newton(rhs_arr[None], guess_arr[None])
+    return SpectralCoeffs(x[0]), iters, res
 
 
 def random_pde_residual(traj_x: Sequence, traj_w: Sequence,
@@ -358,7 +276,10 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     for j in range(n_steps):
         dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
                                           first_step + j, ws.n_w)
-        x, w, iters, res = ws.advance(x, w, dbeta, j, first_path_index)
+        # One DIEG step of every row; chain and convolution share the noise.
+        noise = ws.noise(x, dbeta)
+        x, iters, res = ws.newton(x + noise, x, j, first_path_index)
+        w = ws.res_factors * (w + noise)
         max_iters = max(max_iters, iters)
         max_res = max(max_res, res)
         for obs in observers:
@@ -367,38 +288,20 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
 
 
 def run_path(x0, n_steps: int, params: SchemeParams, model: CoefficientModel,
-             stream: NoiseStream, observers: Sequence[Observer] = ()) -> PathResult:
-    """Iterate the scheme n_steps times from x0 with the given stream.
+             stream: NoiseStream, observers: Sequence[Observer] = ()) -> tuple[int, float]:
+    """Iterate the scheme n_steps times from x0 on one path's noise.
 
-    A one-path run of run_paths_vectorized that starts at the stream's
-    step counter and advances it. Observers are called as observer(step, x,
-    w) with 1-D arrays for every step including the initial one; they
-    accumulate functionals and norms in-stream so full trajectories need
-    not be materialized. On failure the state of the last completed step
-    is returned with the error attached; the solver maxima then stay 0.
+    A one-row run_paths_vectorized call for path stream.path_index, starting
+    at noise block stream.step_counter. Observers are called as
+    observer(step, x, w) with 1-D arrays for every step including the
+    initial one, and failures raise as in the engine.
+
+    Returns (max Newton iterations over steps, max final residual).
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    start = stream.step_counter
-    last = [0, None, None]
-
-    def track(step, x, w):
-        last[:] = step, x[0], w[0]
+    def row(step, x, w):
         for obs in observers:
             obs(step, x[0], w[0])
 
-    error = None
-    max_iters, max_res = 0, 0.0
-    try:
-        max_iters, max_res = run_paths_vectorized(
-            x0, n_steps, params, model, stream.master_seed, 1,
-            observers=(track,), first_path_index=stream.path_index,
-            first_step=start)
-    except (NonConvergenceError, SingularLinearSolveError) as exc:
-        error = exc
-    steps_done, x, w = last
-    # A failed step has already drawn its noise block.
-    stream.step_counter = start + steps_done + (error is not None)
-    return PathResult(state=PathState(x=x, w=w, step=steps_done, stream=stream),
-                      n_steps_done=steps_done, max_newton_iters=max_iters,
-                      max_residual=max_res, error=error)
+    return run_paths_vectorized(x0, n_steps, params, model, stream.master_seed, 1,
+                                observers=(row,), first_path_index=stream.path_index,
+                                first_step=stream.step_counter)

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import allen_cahn_model, nemytskii_drift, nemytskii_jacobian
+from .model import (
+    allen_cahn_model,
+    nemytskii_drift,
+    nemytskii_jacobian,
+    validate_step_constraint,
+)
 from .noise import NoiseStream
 from .scheme import SchemeParams, implicit_solve, run_path
 from .spectral import analyze, eigenvalues, geometric_decay_sum, synthesize
@@ -69,7 +74,7 @@ def _hat_f(x, params, model):
 
 def _suite_monotonicity(rng) -> SuiteResult:
     model, params = _paper_setup()
-    c0 = 1.0 - (model.constants.K1 - eigenvalues(1)[0]) * params.tau
+    c0 = validate_step_constraint(model.constants, params.tau).c0
     worst_ip = math.inf
     worst_exp = math.inf
     for _ in range(1000):
@@ -92,8 +97,8 @@ def _suite_newton_uniqueness(rng) -> SuiteResult:
     worst = 0.0
     for _ in range(20):
         rhs = rng.standard_normal(params.n_modes)
-        a, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
-        b, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
+        a, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
+        b, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
         worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
     return SuiteResult("newton_uniqueness", worst <= 1e-8,
                        f"max solution spread {worst:.3e}")
@@ -138,11 +143,11 @@ def _suite_determinism(rng) -> SuiteResult:
     x0 = rng.standard_normal(params.n_modes) * 0.3
     runs = []
     for _ in range(2):
-        stream = NoiseStream(master_seed=12345, path_index=7)
-        res = run_path(x0, 50, params, model, stream)
-        runs.append((res.state.x.copy(), res.state.w.copy()))
-    same = (np.array_equal(runs[0][0], runs[1][0])
-            and np.array_equal(runs[0][1], runs[1][1]))
+        states = []
+        run_path(x0, 50, params, model, NoiseStream(master_seed=12345, path_index=7),
+                 observers=(lambda step, x, w: states.append((x.copy(), w.copy())),))
+        runs.append(np.array(states))
+    same = np.array_equal(runs[0], runs[1])
     return SuiteResult("determinism", same,
                        "bit-identical replay" if same else "replay mismatch")
 

@@ -133,7 +133,43 @@ def test_degenerate_epsilon_rejected_before_any_run(tmp_path, capsys, epsilon):
     cfg = write_cfg(tmp_path, TINY.replace("epsilon = 0.5", f"epsilon = {epsilon}"))
     assert main(["ergodic", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "epsilon" in err
+    assert "config error" in err and "model.epsilon" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("diffusion = paper", "diffusion = constant:abc", "model.diffusion"),
+    ("diffusion = paper", "diffusion = brownian", "model.diffusion"),
+    ("name = allen_cahn", "name = burgers", "model.name"),
+], ids=["constant-abc", "unknown-diffusion", "unknown-name"])
+def test_bad_model_spec_names_its_key(tmp_path, capsys, old, new, key):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace(old, new))
+    assert main(["ergodic", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("ergodic", TINY.replace("sine, mix_minus", "sine, sine"), "run.initials"),
+    ("ergodic", TINY.replace("sine, mix_minus", ""), "run.initials"),
+    ("ergodic", TINY + "run.functionals =\n", "run.functionals"),
+    ("ergodic", TINY + "run.functionals = norm_sq, norm_sq\n", "run.functionals"),
+    ("convolution", TINY + "run.moment_betas =\n", "run.moment_betas"),
+    ("convolution", TINY + "run.moment_betas = 0.25, 0.25\n", "run.moment_betas"),
+    ("convolution", TINY + "scheme.n_sweep = 6, 6\n", "scheme.n_sweep"),
+    ("convolution", TINY + "scheme.n_sweep = ,\n", "scheme.n_sweep"),
+], ids=["initials-repeated", "initials-empty", "functionals-empty",
+        "functionals-repeated", "betas-empty", "betas-repeated",
+        "n_sweep-repeated", "n_sweep-empty"])
+def test_empty_or_repeated_list_rejected_before_any_run(tmp_path, capsys, command,
+                                                        text, key):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
     assert not out.exists()
 
 

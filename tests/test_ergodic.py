@@ -117,17 +117,14 @@ def test_deterministic_series_strictly_decreasing():
 
 
 def test_single_path_single_step_matches_dieg_step():
-    from spde_ergo.scheme import PathState, dieg_step
-
     cfg = linear_cfg(model=allen_cahn_model(0.5), n_paths=1, n_steps=1)
     res = run_ensemble(cfg)
-    state = PathState.initial(initial_datum("sine", 10).coeffs,
-                              NoiseStream(cfg.master_seed, path_index=0))
-    new_state, _ = dieg_step(state, cfg.params, cfg.model)
-    assert res.time_averages["norm_sq"].final == pytest.approx(
-        float(new_state.x @ new_state.x), rel=1e-12)
-    assert res.x_moment.values[1] == pytest.approx(
-        float(new_state.x @ new_state.x), rel=1e-12)
+    norm_sq = {}
+    run_path(initial_datum("sine", 10).coeffs, 1, cfg.params, cfg.model,
+             NoiseStream(cfg.master_seed, path_index=0),
+             observers=(lambda step, x, w: norm_sq.setdefault(step, float(x @ x)),))
+    assert res.time_averages["norm_sq"].final == pytest.approx(norm_sq[1], rel=1e-12)
+    assert res.x_moment.values[1] == pytest.approx(norm_sq[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("burn_in", [0, 7])

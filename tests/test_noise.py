@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from spde_ergo.model import allen_cahn_model, noise_matrix
 from spde_ergo.noise import (
     NoiseStream,
     PhiloxBlockSource,
-    gaussian_increments,
     multiplicative_increment,
 )
 
@@ -18,15 +18,6 @@ def test_same_block_queried_twice_is_identical():
     a = NoiseStream(42, path_index=3, step_counter=17).block(10)
     b = NoiseStream(42, path_index=3, step_counter=17).block(10)
     np.testing.assert_array_equal(a, b)
-
-
-def test_gaussian_increments_advances_counter():
-    s = NoiseStream(42)
-    first = gaussian_increments(s, 5, TAU)
-    assert s.step_counter == 1
-    second = gaussian_increments(s, 5, TAU)
-    assert s.step_counter == 2
-    assert not np.array_equal(first, second)
 
 
 def test_stream_block_is_one_row_of_source():
@@ -163,4 +154,7 @@ def test_stream_validation():
     with pytest.raises(ValueError):
         NoiseStream(0, path_index=-1)
     with pytest.raises(ValueError):
-        gaussian_increments(NoiseStream(0), 5, 0.0)
+        NoiseStream(0, step_counter=-1)
+    # a stream is an address; nothing advances it
+    with pytest.raises(FrozenInstanceError):
+        NoiseStream(0).step_counter = 1

@@ -14,10 +14,7 @@ from spde_ergo.model import (
 from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import (
     NonConvergenceError,
-    PathState,
     SchemeParams,
-    convolution_update,
-    dieg_step,
     implicit_solve,
     random_pde_residual,
     run_path,
@@ -35,6 +32,18 @@ def hat_f(x, params, model):
     q = params.resolved_quadrature(model)
     return ((1 + params.tau * lam) * x
             - params.tau * nemytskii_drift(x, model, q).coeffs)
+
+
+def run_states(x0, n_steps, params, model, stream):
+    """Every (x, w) a run_path run passes its observers, in step order."""
+    seen = []
+
+    def rec(step, x, w):
+        assert step == len(seen)
+        seen.append((x.copy(), w.copy()))
+
+    run_path(x0, n_steps, params, model, stream, observers=(rec,))
+    return seen
 
 
 def test_params_validation():
@@ -56,17 +65,17 @@ def test_implicit_solve_linear_case_is_resolvent():
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(6)
     p = SchemeParams(n_modes=6, tau=TAU)
-    sol, diag = implicit_solve(rhs, p, m)
+    sol, iters, _ = implicit_solve(rhs, p, m)
     np.testing.assert_allclose(sol.coeffs, resolvent_apply(rhs, TAU).coeffs,
                                atol=1e-13)
-    assert diag.newton_iters <= 2
+    assert iters <= 2
 
 
 def test_implicit_solve_residual_below_tolerance():
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(10)
-    sol, diag = implicit_solve(rhs, PARAMS, AC)
-    assert diag.final_residual <= PARAMS.newton_tol
+    sol, _, residual = implicit_solve(rhs, PARAMS, AC)
+    assert residual <= PARAMS.newton_tol
     res = hat_f(sol.coeffs, PARAMS, AC) - rhs
     assert np.linalg.norm(res) <= PARAMS.newton_tol
 
@@ -91,7 +100,7 @@ def test_implicit_solve_1d_against_bisection():
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        sol, _ = implicit_solve(np.array([r]), p, AC)
+        sol, _, _ = implicit_solve(np.array([r]), p, AC)
         assert sol.coeffs[0] == pytest.approx(oracle, abs=1e-9)
 
 
@@ -99,8 +108,8 @@ def test_implicit_solve_unique_from_random_starts():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rhs = rng.standard_normal(10)
-        a, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
-        b, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
+        a, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
+        b, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-8
 
 
@@ -140,12 +149,11 @@ def test_dieg_step_deterministic_heat():
     m = zero_model()
     p = SchemeParams(n_modes=4, tau=TAU)
     x0 = np.array([1.0, -0.5, 0.2, 0.1])
-    state = PathState.initial(x0, NoiseStream(0))
-    new_state, _ = dieg_step(state, p, m)
-    np.testing.assert_allclose(new_state.x, resolvent_apply(x0, TAU).coeffs,
-                               atol=1e-13)
-    np.testing.assert_allclose(new_state.w, 0.0, atol=1e-15)
-    assert new_state.step == 1
+    states = run_states(x0, 1, p, m, NoiseStream(0))
+    assert len(states) == 2
+    x1, w1 = states[1]
+    np.testing.assert_allclose(x1, resolvent_apply(x0, TAU).coeffs, atol=1e-13)
+    np.testing.assert_allclose(w1, 0.0, atol=1e-15)
 
 
 def test_dieg_step_noiseless_allen_cahn_repeatable():
@@ -153,46 +161,44 @@ def test_dieg_step_noiseless_allen_cahn_repeatable():
     x0 = np.full(10, 0.3)
     runs = []
     for _ in range(2):
-        state = PathState.initial(x0, NoiseStream(9))
-        for _ in range(20):
-            state, _ = dieg_step(state, PARAMS, g0)
-        runs.append(state.x.copy())
+        # 20 chained one-step runs; step j reads noise block j
+        x = x0
+        for j in range(20):
+            x = run_states(x, 1, PARAMS, g0, NoiseStream(9, step_counter=j))[1][0]
+        runs.append(x)
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_dieg_step_defining_equation_residual():
-    state = PathState.initial(np.full(10, 0.5), NoiseStream(11))
-    x_old = state.x.copy()
-    new_state, _ = dieg_step(state, PARAMS, AC)
-    noise = new_state.w / (1 / (1 + TAU * eigenvalues(10))) - 0.0  # W1 = S*noise
-    residual = hat_f(new_state.x, PARAMS, AC) - x_old - noise
+    x_old = np.full(10, 0.5)
+    x1, w1 = run_states(x_old, 1, PARAMS, AC, NoiseStream(11))[1]
+    noise = w1 / (1 / (1 + TAU * eigenvalues(10))) - 0.0  # W1 = S*noise
+    residual = hat_f(x1, PARAMS, AC) - x_old - noise
     assert np.linalg.norm(residual) <= 10 * PARAMS.newton_tol
 
 
+# The convolution update W' = S_{N,tau} (W + noise) is resolvent_apply.
 def test_convolution_update_single_step():
-    p = SchemeParams(n_modes=3, tau=TAU)
     noise = np.array([1.0, 2.0, -1.0])
-    w1 = convolution_update(np.zeros(3), noise, p).coeffs
-    np.testing.assert_allclose(w1, resolvent_apply(noise, TAU).coeffs, rtol=1e-15)
+    w1 = resolvent_apply(np.zeros(3) + noise, TAU).coeffs
+    np.testing.assert_allclose(w1, noise / (1 + TAU * eigenvalues(3)), rtol=1e-15)
 
 
 def test_convolution_zero_noise_stays_zero():
-    p = SchemeParams(n_modes=3, tau=TAU)
     w = np.zeros(3)
     for _ in range(10):
-        w = convolution_update(w, np.zeros(3), p).coeffs
+        w = resolvent_apply(w + np.zeros(3), TAU).coeffs
     np.testing.assert_array_equal(w, 0.0)
 
 
 def test_convolution_recursion_equals_direct_sum():
     # after j steps the recursive w equals sum_i S^(j-i) noise_i
-    p = SchemeParams(n_modes=5, tau=TAU)
     rng = np.random.default_rng(6)
     factors = 1 / (1 + TAU * eigenvalues(5))
     noises = [rng.standard_normal(5) for _ in range(30)]
     w = np.zeros(5)
     for noise in noises:
-        w = convolution_update(w, noise, p).coeffs
+        w = resolvent_apply(w + noise, TAU).coeffs
     j = len(noises)
     direct = sum(factors ** (j - i) * noises[i] for i in range(j))
     np.testing.assert_allclose(w, direct, atol=1e-10)
@@ -263,9 +269,10 @@ def test_random_pde_residual_rejects_mismatch():
 
 
 def test_run_path_zero_steps():
-    res = run_path(np.ones(10), 0, PARAMS, AC, NoiseStream(4))
-    assert res.n_steps_done == 0
-    np.testing.assert_array_equal(res.state.x, np.ones(10))
+    assert run_path(np.ones(10), 0, PARAMS, AC, NoiseStream(4)) == (0, 0.0)
+    (x, w), = run_states(np.ones(10), 0, PARAMS, AC, NoiseStream(4))
+    np.testing.assert_array_equal(x, np.ones(10))
+    np.testing.assert_array_equal(w, 0.0)
 
 
 def test_run_path_diagonal_decay_exact():
@@ -285,23 +292,24 @@ def test_run_path_diagonal_decay_exact():
 
 
 def test_run_path_identical_seeds_bitwise():
-    outs = []
-    for _ in range(2):
-        res = run_path(np.full(10, 0.2), 40, PARAMS, AC, NoiseStream(6, path_index=2))
-        outs.append((res.state.x.copy(), res.state.w.copy()))
-    np.testing.assert_array_equal(outs[0][0], outs[1][0])
-    np.testing.assert_array_equal(outs[0][1], outs[1][1])
+    outs = [np.array(run_states(np.full(10, 0.2), 40, PARAMS, AC,
+                                NoiseStream(6, path_index=2)))
+            for _ in range(2)]
+    np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_run_path_nonconvergence_keeps_partial_records():
-    p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=1)
-    stream = NoiseStream(7)
-    res = run_path(np.full(10, 2.0), 10, p, AC, stream)
-    assert res.error is not None
-    assert res.n_steps_done < 10
-    assert res.state.step == res.n_steps_done
-    # the failed step drew its noise block
-    assert stream.step_counter == res.n_steps_done + 1
+    # four Newton iterations suffice for the first steps of this path only
+    p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=4)
+    seen = []
+    with pytest.raises(NonConvergenceError) as exc:
+        run_path(np.full(10, 0.3), 40, p, AC, NoiseStream(7, path_index=5),
+                 observers=(lambda step, x, w: seen.append(step),))
+    assert exc.value.path == 5
+    assert 0 < exc.value.step < 40
+    assert f"path 5, step {exc.value.step}" in str(exc.value)
+    # the observers saw x0 and every step completed before the failing one
+    assert seen == list(range(exc.value.step + 1))
 
 
 def test_vectorized_matches_per_path():
@@ -326,21 +334,20 @@ def test_vectorized_matches_per_path():
         np.testing.assert_allclose(batch_w[k], w[0], atol=1e-11)
 
 
-def test_run_path_matches_chained_dieg_steps():
+def test_run_path_is_one_row_of_engine_run():
+    # path 3 from noise block 5 is row 0 of a batch run from the same address
     x0 = np.full(10, 0.3)
-    stream = NoiseStream(42, path_index=3, step_counter=5)
-    seen = []
-    res = run_path(x0, 12, PARAMS, AC, stream,
-                   observers=(lambda step, x, w: seen.append((step, x.shape)),))
-    assert stream.step_counter == 17
-    assert seen == [(j, (10,)) for j in range(13)]
-    state = PathState.initial(x0, NoiseStream(42, path_index=3, step_counter=5))
-    for _ in range(12):
-        state, _ = dieg_step(state, PARAMS, AC)
-    assert state.stream.step_counter == 17
-    assert res.n_steps_done == state.step == 12
-    np.testing.assert_allclose(res.state.x, state.x, atol=1e-11)
-    np.testing.assert_allclose(res.state.w, state.w, atol=1e-11)
+    states = run_states(x0, 12, PARAMS, AC,
+                        NoiseStream(42, path_index=3, step_counter=5))
+    assert len(states) == 13
+    rows = []
+    run_paths_vectorized(x0, 12, PARAMS, AC, 42, 3, first_path_index=3,
+                         first_step=5,
+                         observers=(lambda step, x, w: rows.append((x[0], w[0])),))
+    for (x, w), (x_row, w_row) in zip(states, rows):
+        assert x.shape == w.shape == (10,)
+        np.testing.assert_allclose(x, x_row, atol=1e-11)
+        np.testing.assert_allclose(w, w_row, atol=1e-11)
 
 
 def test_nan_residual_is_never_converged():
@@ -355,10 +362,14 @@ def test_nan_residual_is_never_converged():
     assert exc.value.path == 4
     assert exc.value.step == 0
     assert "path 4, step 0" in str(exc.value)
-    res = run_path(x0[1], 5, PARAMS, m, NoiseStream(1))
-    assert isinstance(res.error, NonConvergenceError)
-    assert res.n_steps_done == 0
-    np.testing.assert_array_equal(res.state.x, x0[1])
+    seen = []
+    with pytest.raises(NonConvergenceError) as exc:
+        run_path(x0[1], 5, PARAMS, m, NoiseStream(1),
+                 observers=(lambda step, x, w: seen.append((step, x.copy())),))
+    assert (exc.value.path, exc.value.step) == (0, 0)
+    (step, x), = seen
+    assert step == 0
+    np.testing.assert_array_equal(x, x0[1])
 
 
 def test_coupled_pair_shares_increments():
@@ -366,7 +377,7 @@ def test_coupled_pair_shares_increments():
     m = heat_model(constant_diffusion(1.0), 1.0)
     p = SchemeParams(n_modes=5, tau=TAU)
     x0 = np.array([1.0, 0.5, -0.2, 0.1, 0.0])
-    res = run_path(x0, 30, p, m, NoiseStream(8))
+    x, w = run_states(x0, 30, p, m, NoiseStream(8))[30]
     factors = 1 / (1 + TAU * eigenvalues(5))
     homogeneous = factors**30 * x0
-    np.testing.assert_allclose(res.state.x, homogeneous + res.state.w, atol=1e-12)
+    np.testing.assert_allclose(x, homogeneous + w, atol=1e-12)
