@@ -236,6 +236,48 @@ def test_cmd_ergodic_replay_is_byte_identical(tmp_path):
             == (out_b / "time_averages.csv").read_bytes())
 
 
+# Last data row of each CSV that the four run commands write on TINY.
+GOLDEN_LAST_ROWS = {
+    "ergodic/time_averages.csv":
+        "20,1,sin_norm_sq,sine,0.30874872567180217,0.045100425364427134",
+    "lyapunov/moments_sine.csv":
+        "x_norm_sq,6,0,20,1,0.3436728826765944,0.17836243259015944",
+    "lyapunov/moments_mix_minus.csv":
+        "x_norm_sq,6,0,20,1,0.34359293480393138,0.17825404476927206",
+    "convolution/moments.csv":
+        "w_sobolev_sq,6,0.40000000000000002,20,1,1.1893754705985253,0.64248781846275382",
+    "simulate/trajectory.csv":
+        "20,1,6,-0.0088174626059032805,-0.0079899490174023865",
+    "simulate/residuals.csv": "20,1.6110213222030815e-14",
+}
+
+
+def test_outputs_match_golden_values(tmp_path):
+    """Pin the (seed, config) -> output contract across changes to the code.
+
+    Numbers are compared with rtol 1e-10, not bit for bit: the BLAS
+    reduction order can move the last bits (5.8e-12 relative has been seen
+    on a stderr column). The random-PDE residual sits at round-off, so only
+    its scale is pinned.
+    """
+    cfg = write_cfg(tmp_path)
+    for command in ("ergodic", "lyapunov", "convolution", "simulate"):
+        assert main([command, "--config", cfg, "--output",
+                     str(tmp_path / command)]) == 0
+    for name, golden in GOLDEN_LAST_ROWS.items():
+        got = (tmp_path / name).read_text().splitlines()[-1].split(",")
+        want = golden.split(",")
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            try:
+                w_num = float(w)
+            except ValueError:
+                assert g == w, name
+                continue
+            tol = 1e-13 if name.endswith("residuals.csv") else 0.0
+            assert float(g) == pytest.approx(w_num, rel=1e-10, abs=tol), name
+
+
 def test_cmd_lyapunov_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["lyapunov", "--config", write_cfg(tmp_path), "--output", str(out)])
