@@ -6,13 +6,8 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .spectral import (
-    SpectralCoeffs,
-    PhysicalGrid,
     eigenvalue,
     eigenvalues,
-    basis_eval,
-    synthesize,
-    analyze,
     sobolev_norm,
     resolvent_apply,
     geometric_decay_sum,
@@ -26,12 +21,8 @@ from .model import (
     heat_model,
     zero_model,
     validate_step_constraint,
-    nemytskii_drift,
-    nemytskii_jacobian,
-    noise_matrix,
-    validate_nondegeneracy,
 )
-from .noise import NoiseStream, multiplicative_increment
+from .noise import NoiseStream
 from .scheme import (
     SchemeParams,
     NonConvergenceError,
@@ -46,7 +37,6 @@ from .ergodic import (
     functional_eval,
     initial_datum,
     MomentSeries,
-    RunningAverage,
     EnsembleConfig,
     EnsembleResult,
     EnsembleError,

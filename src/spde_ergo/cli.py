@@ -213,11 +213,12 @@ _REQUIRED_KEYS = ("model.name", "scheme.n_modes", "scheme.tau",
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config document.
 
-    Every violated constraint is collected and reported at once.
+    Every violated constraint is collected and reported at once, each with
+    the line of the key it names; a key left at its default has no line.
     """
     errors: list[str] = []
     fields: dict[str, object] = {}
-    seen: set[str] = set()
+    lines: dict[str, int] = {}  # key -> line it is set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,48 +231,52 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in seen:
+        if key in lines:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        seen.add(key)
+        lines[key] = lineno
         attr, parser = _SCHEMA[key]
         try:
             fields[attr] = parser(value)
         except ValueError as exc:
             errors.append(f"line {lineno}: cannot parse value {value!r} for {key}: {exc}")
     for key in _REQUIRED_KEYS:
-        if key not in seen:
+        if key not in lines:
             errors.append(f"missing required key {key}")
     if errors:
         raise ConfigError(errors)
     cfg = RunConfig(**fields)
-    errors.extend(_validate_semantics(cfg))
+    for msg in _validate_semantics(cfg):
+        key = msg.split(" ", 1)[0].rstrip(":")
+        errors.append(f"line {lines[key]}: {msg}" if key in lines else msg)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
 def _validate_semantics(cfg: RunConfig) -> list[str]:
+    """Every violated constraint; each message starts with the key it names."""
     errors = []
     if not 0.0 < cfg.tau < 1.0:
         errors.append(f"scheme.tau must lie in (0, 1), got {cfg.tau}")
     if cfg.n_modes < 1:
         errors.append("scheme.n_modes must be >= 1")
-    if cfg.steps < 1 or cfg.paths < 1:
-        errors.append("run.steps and run.paths must be >= 1")
+    for key, value in (("run.steps", cfg.steps), ("run.paths", cfg.paths)):
+        if value < 1:
+            errors.append(f"{key} must be >= 1")
     if not 0 <= cfg.burn_in < cfg.steps:
         errors.append("run.burn_in must satisfy 0 <= burn_in < steps")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         errors.append("run.seed must fit in 64 unsigned bits")
     for initial in cfg.initials:
         if initial not in INITIAL_DATA_IDS:
-            errors.append(f"unknown initial datum {initial!r}")
+            errors.append(f"run.initials: unknown initial datum {initial!r}")
     for tag in cfg.functionals:
         if tag not in FUNCTIONAL_TAGS:
-            errors.append(f"unknown functional {tag!r}")
+            errors.append(f"run.functionals: unknown functional {tag!r}")
     for beta in cfg.moment_betas:
         if not 0.0 <= beta < 0.5:
-            errors.append(f"moment beta must lie in [0, 1/2), got {beta}")
+            errors.append(f"run.moment_betas entries must lie in [0, 1/2), got {beta}")
     if cfg.n_sweep is not None and any(n < 1 for n in cfg.n_sweep):
         errors.append("scheme.n_sweep entries must be >= 1")
     if cfg.noise_modes is not None and cfg.noise_modes < 1:
@@ -291,7 +296,7 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
             errors.extend(exc.messages)
         else:
             result = validate_step_constraint(model.constants, cfg.tau)
-            errors.extend(result.messages)
+            errors.extend(f"scheme.tau: {msg}" for msg in result.messages)
             # The dealiasing floor grows with N; check every N a command runs.
             for n in sorted({cfg.n_modes, *(cfg.n_sweep or ())}):
                 try:
@@ -418,7 +423,7 @@ def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
                    "series,N,beta,step,t,mean,stderr",
                    _moment_rows(res.x_moment, "x_norm_sq", cfg.n_modes, 0.0,
                                 cfg.tau))
-        x0_ns = float(np.sum(initial_datum(initial, cfg.n_modes).coeffs ** 2))
+        x0_ns = float(np.sum(initial_datum(initial, cfg.n_modes) ** 2))
         report = lyapunov_series(res.x_moment, ref, x0_ns, cfg.tau,
                                  burn_in_steps=cfg.burn_in)
         ok = report.bounded and report.decayed_below_initial
@@ -480,7 +485,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         traj_x.append(x.copy())
         traj_w.append(w.copy())
 
-    max_iters, _ = run_path(x0.coeffs, cfg.steps, params, model,
+    max_iters, _ = run_path(x0, cfg.steps, params, model,
                             NoiseStream(cfg.effective_seed()), observers=(recorder,))
 
     rows = []

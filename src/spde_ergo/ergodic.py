@@ -27,7 +27,7 @@ from .scheme import (
     SingularLinearSolveError,
     run_paths_vectorized,
 )
-from .spectral import SpectralCoeffs, _coeff_array, eigenvalue, eigenvalues
+from .spectral import eigenvalue, eigenvalues
 
 __all__ = [
     "FUNCTIONAL_TAGS",
@@ -35,7 +35,6 @@ __all__ = [
     "functional_eval",
     "initial_datum",
     "MomentSeries",
-    "RunningAverage",
     "EnsembleConfig",
     "EnsembleResult",
     "EnsembleError",
@@ -64,11 +63,11 @@ def functional_eval(tag: str, c) -> float:
     """Evaluate a test functional of the L2 norm (via Parseval) at c."""
     if tag not in _FUNCTIONALS:
         raise ValueError(f"unknown functional tag {tag!r}")
-    arr = _coeff_array(c)
+    arr = np.asarray(c, dtype=float)
     return float(_FUNCTIONALS[tag](float(arr @ arr)))
 
 
-def initial_datum(name: str, n_modes: int) -> SpectralCoeffs:
+def initial_datum(name: str, n_modes: int) -> np.ndarray:
     """The experiment's initial data in coefficient form.
 
     sine:      sin(pi xi)                -> c = (1/sqrt(2), 0, ...)
@@ -89,7 +88,7 @@ def initial_datum(name: str, n_modes: int) -> SpectralCoeffs:
         c[: min(10, n_modes)] = amp if name == "mix_plus" else -amp
     else:
         raise ValueError(f"unknown initial datum {name!r}")
-    return SpectralCoeffs(c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,6 @@ class MomentSeries:
         return float(self.stderrs[-1])
 
 
-RunningAverage = MomentSeries
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     params: SchemeParams
@@ -150,7 +146,7 @@ class EnsembleConfig:
             if not 0.0 <= beta < 0.5:
                 raise ValueError(f"moment beta must lie in [0, 1/2), got {beta}")
 
-    def initial_coeffs(self) -> SpectralCoeffs:
+    def initial_coeffs(self) -> np.ndarray:
         return initial_datum(self.initial, self.params.n_modes)
 
     def compatible_with(self, other: "EnsembleConfig") -> bool:
@@ -222,7 +218,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
 
     try:
         max_iters, max_res = run_paths_vectorized(
-            cfg.initial_coeffs().coeffs, n_steps, params, model,
+            cfg.initial_coeffs(), n_steps, params, model,
             cfg.master_seed, n_paths, observers=(observer,))
     except (NonConvergenceError, SingularLinearSolveError) as exc:
         raise EnsembleError([(f"initial {cfg.initial!r}", exc)]) from exc

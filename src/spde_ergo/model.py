@@ -3,9 +3,9 @@
 A model bundles the scalar drift f, its derivative f', the scalar diffusion
 g, and the structural constants: one-sided Lipschitz rate K1, coercivity
 pair (K2, K3), growth pair (K4, K5) with exponent q, and the diffusion
-bound K6.  The Nemytskii operators lift f and g pointwise; their Galerkin
-projections are computed by synthesize / pointwise-apply / analyze on a
-dealiased quadrature grid.
+bound K6.  GalerkinOperators lifts f, f' and g pointwise; its Galerkin
+projections evaluate coefficient rows on a dealiased quadrature grid with
+spectral.basis_matrix, apply the scalar function and project back.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, _coeff_array, basis_matrix, eigenvalue
+from .spectral import basis_matrix, eigenvalue
 
 __all__ = [
     "ModelConstants",
     "CoefficientModel",
     "StepConstraintResult",
-    "NondegeneracyResult",
     "allen_cahn_model",
     "paper_diffusion",
     "constant_diffusion",
@@ -33,10 +32,6 @@ __all__ = [
     "noise_quadrature_floor",
     "default_quadrature",
     "GalerkinOperators",
-    "nemytskii_drift",
-    "nemytskii_jacobian",
-    "noise_matrix",
-    "validate_nondegeneracy",
 ]
 
 ScalarFn = Callable[[np.ndarray], np.ndarray]
@@ -230,9 +225,9 @@ class GalerkinOperators:
     Each operator takes a (P, N) array whose rows are independent
     coefficient vectors, lifts them to the Q interior quadrature nodes,
     applies f, f' or g pointwise and projects back with weight 1/(Q+1).
-    The scheme steps with these definitions, and nemytskii_drift,
-    nemytskii_jacobian, noise_matrix and multiplicative_increment evaluate
-    them on a single row. Q must reach the noise floor N + N_w, below which
+    A single coefficient vector is a one-row array. The drift of a degree-d
+    polynomial f is exact once Q reaches the drift floor (d + 1) N, which
+    SchemeParams enforces. Q must reach the noise floor N + N_w, below which
     even a constant coefficient aliases.
     """
 
@@ -265,58 +260,3 @@ class GalerkinOperators:
         """Rows of P_N G(x) dW for the (P, N_w) noise-mode increments dbeta."""
         gu = self.model.diffusion(x @ self.basis.T)
         return (gu * (dbeta @ self.basis_w.T)) @ self.basis * self.weight
-
-
-def _drift_operators(arr: np.ndarray, model: CoefficientModel,
-                     q_nodes: int) -> GalerkinOperators:
-    n = arr.size
-    floor = drift_quadrature_floor(n, model.constants)
-    if q_nodes < floor:
-        raise ValueError(f"Q={q_nodes} below dealiasing floor {floor} for N={n}")
-    return GalerkinOperators(model, n, n, q_nodes)
-
-
-def nemytskii_drift(c, model: CoefficientModel, q_nodes: int) -> SpectralCoeffs:
-    """Galerkin projection of the drift Nemytskii operator, P_N F(x).
-
-    Exact for polynomial f of degree d when Q >= (d + 1) N.
-    """
-    arr = _coeff_array(c)
-    return SpectralCoeffs(_drift_operators(arr, model, q_nodes).drift(arr[None])[0])
-
-
-def nemytskii_jacobian(c, model: CoefficientModel, q_nodes: int) -> np.ndarray:
-    """Jacobian of nemytskii_drift wrt the coefficients; symmetric N x N."""
-    arr = _coeff_array(c)
-    return _drift_operators(arr, model, q_nodes).jacobian(arr[None])[0]
-
-
-def noise_matrix(c, model: CoefficientModel, noise_modes: int, q_nodes: int) -> np.ndarray:
-    """Projected multiplicative-noise matrix M with M[n,m] = <e_n, g(x) e_m>.
-
-    Columns index the N_w retained noise modes; rows the N state modes.
-    Quadrature with Q >= N + N_w is exact whenever g(x(.)) is constant.
-    """
-    arr = _coeff_array(c)
-    ops = GalerkinOperators(model, arr.size, noise_modes, q_nodes)
-    # Column m is the increment of the unit noise vector e_m.
-    rows = np.broadcast_to(arr, (noise_modes, arr.size))
-    return ops.noise(rows, np.eye(noise_modes)).T
-
-
-@dataclass(frozen=True)
-class NondegeneracyResult:
-    ok: bool
-    min_abs_diffusion: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_nondegeneracy(c, model: CoefficientModel, q_nodes: int) -> NondegeneracyResult:
-    """Check min_q |g(x(xi_q))| > 0 on the quadrature grid."""
-    arr = _coeff_array(c)
-    mat = basis_matrix(arr.size, max(q_nodes, arr.size))
-    gu = model.diffusion(mat @ arr)
-    m = float(np.min(np.abs(gu)))
-    return NondegeneracyResult(ok=m > 0.0, min_abs_diffusion=m)

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientModel, GalerkinOperators
-from .spectral import SpectralCoeffs, _coeff_array
-
 __all__ = [
     "NoiseStream",
     "PhiloxBlockSource",
-    "multiplicative_increment",
 ]
 
 
@@ -79,14 +75,3 @@ class NoiseStream:
         """Standard normals of the block at this (path, step)."""
         return PhiloxBlockSource(self.master_seed).normals(
             self.path_index, 1, self.step_counter, n_values)[0]
-
-
-def multiplicative_increment(c, model: CoefficientModel, dbeta: np.ndarray,
-                             q_nodes: int) -> SpectralCoeffs:
-    """Noise increment P_N G(x) dW = M(x) dbeta for one step."""
-    arr = _coeff_array(c)
-    dbeta = np.asarray(dbeta, dtype=float)
-    if dbeta.ndim != 1:
-        raise ValueError("dbeta must be a 1D increment vector")
-    ops = GalerkinOperators(model, arr.size, dbeta.size, q_nodes)
-    return SpectralCoeffs(ops.noise(arr[None], dbeta[None])[0])

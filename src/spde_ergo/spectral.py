@@ -1,87 +1,31 @@
-"""Dirichlet sine eigenbasis on (0,1): eigenvalues, transforms, norms, resolvent.
+"""Dirichlet sine eigenbasis on (0,1): eigenvalues, basis matrix, norms, resolvent.
 
 States live in the span of the first N eigenvectors of the Dirichlet
-Laplacian, e_k(xi) = sqrt(2) sin(k pi xi) with eigenvalue lambda_k = (k pi)^2.
-Physical-space evaluation uses the uniform interior grid xi_q = q/(Q+1),
-q = 1..Q, with equal weights 1/(Q+1); discrete sine orthogonality makes
-analysis exact for any function whose sine bandwidth is at most Q.
+Laplacian, e_k(xi) = sqrt(2) sin(k pi xi) with eigenvalue lambda_k = (k pi)^2,
+as plain arrays of coefficients. Physical-space evaluation uses the uniform
+interior grid xi_q = q/(Q+1), q = 1..Q: with E = basis_matrix(N, Q) the point
+values of c are E @ c and the projection of values v is E.T @ v / (Q+1),
+which discrete sine orthogonality makes exact for any function whose sine
+bandwidth is at most Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SpectralCoeffs",
-    "PhysicalGrid",
     "eigenvalue",
     "eigenvalues",
-    "basis_eval",
     "basis_matrix",
     "grid_nodes",
-    "synthesize",
-    "analyze",
     "sobolev_norm",
     "resolvent_apply",
     "resolvent_factors",
     "geometric_decay_sum",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Coefficients c_k of x = sum_k c_k e_k in the orthonormal sine basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coeffs must be a non-empty 1D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        """L2 norm via Parseval."""
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class PhysicalGrid:
-    """Point values at the interior nodes xi_q = q/(Q+1), q = 1..Q."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a non-empty 1D array")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def q_nodes(self) -> int:
-        return self.values.size
-
-
-def _coeff_array(c) -> np.ndarray:
-    if isinstance(c, SpectralCoeffs):
-        return c.coeffs
-    return np.asarray(c, dtype=float)
-
-
-def _value_array(v) -> np.ndarray:
-    if isinstance(v, PhysicalGrid):
-        return v.values
-    return np.asarray(v, dtype=float)
 
 
 def eigenvalue(k: int) -> float:
@@ -97,15 +41,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     k = np.arange(1, n_modes + 1)
     return (k * math.pi) ** 2
-
-
-def basis_eval(k: int, xi: float) -> float:
-    """Evaluate the orthonormal eigenvector e_k(xi) = sqrt(2) sin(k pi xi)."""
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie in (0,1), got {xi}")
-    return math.sqrt(2.0) * math.sin(k * math.pi * xi)
 
 
 def grid_nodes(q_nodes: int) -> np.ndarray:
@@ -130,34 +65,9 @@ def basis_matrix(n_modes: int, q_nodes: int) -> np.ndarray:
     return _basis_matrix_cached(n_modes, q_nodes)
 
 
-def synthesize(c, q_nodes: int) -> PhysicalGrid:
-    """Evaluate the expansion sum_k c_k e_k at the Q interior nodes.
-
-    Requires Q >= N so the grid resolves every retained mode.
-    """
-    arr = _coeff_array(c)
-    if q_nodes < arr.size:
-        raise ValueError(f"Q={q_nodes} < N={arr.size} loses information")
-    return PhysicalGrid(basis_matrix(arr.size, q_nodes) @ arr)
-
-
-def analyze(v, n_modes: int) -> SpectralCoeffs:
-    """Galerkin coefficients c_k = (1/(Q+1)) sum_q values[q] e_k(xi_q).
-
-    Exact for any function in the sine span of bandwidth <= Q, by discrete
-    sine orthogonality on the uniform interior grid.
-    """
-    arr = _value_array(v)
-    q_nodes = arr.size
-    if n_modes > q_nodes:
-        raise ValueError(f"N={n_modes} > Q={q_nodes} is under-resolved")
-    mat = basis_matrix(n_modes, q_nodes)
-    return SpectralCoeffs(mat.T @ arr / (q_nodes + 1))
-
-
 def sobolev_norm(c, beta: float) -> float:
     """Fractional Sobolev norm (sum_k lambda_k^beta c_k^2)^(1/2); beta=0 is L2."""
-    arr = _coeff_array(c)
+    arr = np.asarray(c, dtype=float)
     lam = eigenvalues(arr.size)
     return float(np.sqrt(np.sum(lam**beta * arr**2)))
 
@@ -169,10 +79,10 @@ def resolvent_factors(n_modes: int, tau: float) -> np.ndarray:
     return 1.0 / (1.0 + tau * eigenvalues(n_modes))
 
 
-def resolvent_apply(c, tau: float) -> SpectralCoeffs:
+def resolvent_apply(c, tau: float) -> np.ndarray:
     """Apply S_{N,tau} = (I - tau*Laplacian_N)^(-1): c_k -> c_k/(1 + tau*lambda_k)."""
-    arr = _coeff_array(c)
-    return SpectralCoeffs(arr * resolvent_factors(arr.size, tau))
+    arr = np.asarray(c, dtype=float)
+    return arr * resolvent_factors(arr.shape[-1], tau)
 
 
 def geometric_decay_sum(lam: float, tau: float, j) -> float:

@@ -192,7 +192,7 @@ def test_ac6_random_pde_residual():
         traj_x.append(x.copy())
         traj_w.append(w.copy())
 
-    run_path(initial_datum("mix_plus", 10).coeffs, DESK_STEPS, params,
+    run_path(initial_datum("mix_plus", 10), DESK_STEPS, params,
              model, NoiseStream(SEED, path_index=0), observers=(recorder,))
     residuals = random_pde_residual(traj_x, traj_w, params, model)
     worst = float(np.max(residuals))

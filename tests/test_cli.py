@@ -123,7 +123,8 @@ def test_bad_scheme_value_rejected_before_any_run(tmp_path, capsys, extra, messa
     cfg = write_cfg(tmp_path, TINY + extra + "\n")
     assert main(["convolution", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and message in err
+    # TINY has 9 lines, so the first extra key is set on line 10
+    assert "config error" in err and f"line 10: {message}" in err
     assert not out.exists()
 
 
@@ -133,7 +134,7 @@ def test_degenerate_epsilon_rejected_before_any_run(tmp_path, capsys, epsilon):
     cfg = write_cfg(tmp_path, TINY.replace("epsilon = 0.5", f"epsilon = {epsilon}"))
     assert main(["ergodic", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "model.epsilon" in err
+    assert "config error" in err and "line 2: model.epsilon" in err
     assert not out.exists()
 
 
@@ -174,8 +175,22 @@ def test_empty_or_repeated_list_rejected_before_any_run(tmp_path, capsys, comman
 
 
 def test_unknown_initial_rejected():
-    with pytest.raises(ConfigError, match="unknown initial"):
+    with pytest.raises(ConfigError, match="line 9: run.initials: unknown initial"):
         parse_config(TINY.replace("sine, mix_minus", "cosine"))
+
+
+def test_semantic_errors_name_key_and_line():
+    text = (TINY.replace("run.steps = 20", "run.steps = 0")
+            + "run.functionals = norm_sq, cosh\nrun.moment_betas = 0, 0.5\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.messages == [
+        "line 6: run.steps must be >= 1",
+        # run.burn_in is left at its default, so it has no line
+        "run.burn_in must satisfy 0 <= burn_in < steps",
+        "line 10: run.functionals: unknown functional 'cosh'",
+        "line 11: run.moment_betas entries must lie in [0, 1/2), got 0.5",
+    ]
 
 
 def test_constant_diffusion_spec():

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from spde_ergo.model import (
+    GalerkinOperators,
     allen_cahn_model,
     constant_diffusion,
     default_quadrature,
     heat_model,
-    nemytskii_drift,
-    nemytskii_jacobian,
-    noise_matrix,
     paper_diffusion,
-    validate_nondegeneracy,
     validate_step_constraint,
     zero_model,
 )
-from spde_ergo.spectral import basis_matrix, synthesize
+from spde_ergo.scheme import SchemeParams
 
 EPS = 0.5
 LAM1 = math.pi**2
@@ -25,6 +22,21 @@ LAM1 = math.pi**2
 @pytest.fixture(scope="module")
 def ac_model():
     return allen_cahn_model(EPS)
+
+
+def drift(c, model, q):
+    """P_N F(c) for one coefficient vector: a one-row GalerkinOperators call."""
+    return GalerkinOperators(model, c.size, c.size, q).drift(c[None])[0]
+
+
+def jacobian(c, model, q):
+    return GalerkinOperators(model, c.size, c.size, q).jacobian(c[None])[0]
+
+
+def noise_matrix(c, model, noise_modes, q):
+    """M[n, m] = <e_n, g(x) e_m>: column m is the increment of unit noise e_m."""
+    ops = GalerkinOperators(model, c.size, noise_modes, q)
+    return ops.noise(np.tile(c, (noise_modes, 1)), np.eye(noise_modes)).T
 
 
 def test_allen_cahn_drift_values(ac_model):
@@ -56,6 +68,13 @@ def test_allen_cahn_coercivity_constant_is_tight(ac_model):
 
 def test_allen_cahn_sampled_constants_pass(ac_model):
     assert ac_model.constants.check_sampled(ac_model.drift, ac_model.diffusion) == []
+
+
+@pytest.mark.parametrize("g", [lambda x: np.zeros_like(x), lambda x: x],
+                         ids=["zero", "sign-changing"])
+def test_check_sampled_flags_vanishing_diffusion(ac_model, g):
+    msgs = ac_model.constants.check_sampled(ac_model.drift, g)
+    assert "diffusion vanishes on sample grid" in msgs
 
 
 def test_allen_cahn_rejects_bad_epsilon():
@@ -107,7 +126,7 @@ def test_step_constraint_rejects_large_k2():
 
 def test_nemytskii_drift_zero():
     m = zero_model()
-    out = nemytskii_drift(np.array([0.3, -0.2, 0.1]), m, 12).coeffs
+    out = drift(np.array([0.3, -0.2, 0.1]), m, 12)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -116,22 +135,23 @@ def test_nemytskii_drift_single_mode_cubic(ac_model, a):
     # P_N f(a e_1) for f = 4(u - u^3): mode1 = 4a - 6a^3, mode3 = 2a^3
     # from int sin^4(pi x) dx = 3/8 and int sin^3(pi x) sin(3 pi x) dx = -1/8
     c = np.array([a, 0.0, 0.0, 0.0])
-    out = nemytskii_drift(c, ac_model, 16).coeffs
+    out = drift(c, ac_model, 16)
     expected = np.array([4 * a - 6 * a**3, 0.0, 2 * a**3, 0.0])
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_nemytskii_drift_quadrature_floor_enforced(ac_model):
-    with pytest.raises(ValueError):
-        nemytskii_drift(np.zeros(4), ac_model, 15)  # floor is (3+1)*4 = 16
+    with pytest.raises(ValueError, match="dealiasing floor 16"):
+        # the drift floor is (3+1)*4 = 16
+        SchemeParams(4, 0.05, quadrature=15).resolved_quadrature(ac_model)
 
 
 def test_nemytskii_drift_exact_at_floor(ac_model):
     # dealiased quadrature is exact for the cubic: Q = 4N matches Q >> N
     rng = np.random.default_rng(5)
     c = rng.standard_normal(6)
-    coarse = nemytskii_drift(c, ac_model, 24).coeffs
-    fine = nemytskii_drift(c, ac_model, 600).coeffs
+    coarse = drift(c, ac_model, 24)
+    fine = drift(c, ac_model, 600)
     np.testing.assert_allclose(coarse, fine, atol=1e-12)
 
 
@@ -146,12 +166,12 @@ def test_jacobian_linear_drift_is_identity_multiple():
         constants=ModelConstants(K1=alpha, K2=alpha, K3=0.0, K4=alpha, K5=0.0,
                                  K6=1.0, q=1.0),
     )
-    jac = nemytskii_jacobian(np.array([0.2, -0.4, 0.1]), m, 12)
+    jac = jacobian(np.array([0.2, -0.4, 0.1]), m, 12)
     np.testing.assert_allclose(jac, alpha * np.eye(3), atol=1e-12)
 
 
 def test_jacobian_at_origin(ac_model):
-    jac = nemytskii_jacobian(np.zeros(5), ac_model, 20)
+    jac = jacobian(np.zeros(5), ac_model, 20)
     np.testing.assert_allclose(jac, 4.0 * np.eye(5), atol=1e-12)
 
 
@@ -160,15 +180,14 @@ def test_jacobian_symmetric_and_matches_finite_differences(ac_model):
     q = 32
     for _ in range(5):
         c = rng.standard_normal(8)
-        jac = nemytskii_jacobian(c, ac_model, q)
+        jac = jacobian(c, ac_model, q)
         np.testing.assert_allclose(jac, jac.T, atol=1e-12)
         h = 1e-6
         scale = np.max(np.abs(jac)) + 1.0
         for m_ in range(8):
             e = np.zeros(8)
             e[m_] = h
-            fd = (nemytskii_drift(c + e, ac_model, q).coeffs
-                  - nemytskii_drift(c - e, ac_model, q).coeffs) / (2 * h)
+            fd = (drift(c + e, ac_model, q) - drift(c - e, ac_model, q)) / (2 * h)
             np.testing.assert_allclose(fd, jac[:, m_], atol=1e-6 * scale)
 
 
@@ -193,37 +212,8 @@ def test_noise_matrix_symmetry(ac_model):
 
 
 def test_noise_matrix_floor_enforced(ac_model):
-    with pytest.raises(ValueError):
-        noise_matrix(np.zeros(4), ac_model, 6, 9)
-
-
-def test_nondegeneracy_paper_diffusion(ac_model):
-    rng = np.random.default_rng(9)
-    res = validate_nondegeneracy(rng.standard_normal(6), ac_model, 64)
-    assert res.ok
-    assert res.min_abs_diffusion >= 1.0
-
-
-def test_nondegeneracy_zero_diffusion():
-    assert not validate_nondegeneracy(np.ones(3), zero_model(), 16)
-
-
-def test_nondegeneracy_sign_changing_diffusion():
-    from spde_ergo.model import CoefficientModel, ModelConstants
-
-    m = CoefficientModel(
-        drift=lambda x: np.zeros_like(x),
-        drift_deriv=lambda x: np.zeros_like(x),
-        diffusion=lambda x: x,  # vanishes wherever the state does
-        constants=ModelConstants(K1=0, K2=0, K3=0, K4=0, K5=0, K6=10.0),
-    )
-    res = validate_nondegeneracy(np.zeros(2), m, 15)
-    assert not res.ok
-    assert res.min_abs_diffusion == 0.0
-
-
-def _quad_inner(u_vals, v_vals, q):
-    return float(np.sum(u_vals * v_vals)) / (q + 1)
+    with pytest.raises(ValueError, match="noise quadrature floor 10"):
+        GalerkinOperators(ac_model, 4, 6, 9)
 
 
 def test_monotonicity_transfer(ac_model):
@@ -235,8 +225,7 @@ def test_monotonicity_transfer(ac_model):
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         d = x - y
-        lhs = float(d @ (nemytskii_drift(x, ac_model, q).coeffs
-                         - nemytskii_drift(y, ac_model, q).coeffs))
+        lhs = float(d @ (drift(x, ac_model, q) - drift(y, ac_model, q)))
         assert lhs <= k1 * float(d @ d) + 1e-8
 
 
@@ -246,12 +235,12 @@ def test_coercivity_transfer(ac_model):
     k = ac_model.constants
     for _ in range(1000):
         x = rng.standard_normal(n)
-        lhs = float(x @ nemytskii_drift(x, ac_model, q).coeffs)
+        lhs = float(x @ drift(x, ac_model, q))
         assert lhs <= k.K2 * float(x @ x) + k.K3 + 1e-8
 
 
 def test_heat_model_is_linear():
     m = heat_model(constant_diffusion(1.0), 1.0)
-    out = nemytskii_drift(np.array([1.0, 2.0]), m, 8).coeffs
+    out = drift(np.array([1.0, 2.0]), m, 8)
     np.testing.assert_allclose(out, 0.0)
     assert validate_step_constraint(m.constants, 0.5).ok

@@ -4,12 +4,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from spde_ergo.model import allen_cahn_model, noise_matrix
-from spde_ergo.noise import (
-    NoiseStream,
-    PhiloxBlockSource,
-    multiplicative_increment,
-)
+from spde_ergo.model import GalerkinOperators, allen_cahn_model
+from spde_ergo.noise import NoiseStream, PhiloxBlockSource
 
 TAU = 0.05
 
@@ -97,17 +93,23 @@ def test_independence_across_paths():
     assert abs(corr) <= 4 / math.sqrt(n)
 
 
+def multiplicative_increment(x, model, dbeta, q):
+    """P_N G(x) dW = M(x) dbeta for one step: a one-row GalerkinOperators call."""
+    ops = GalerkinOperators(model, x.size, dbeta.shape[-1], q)
+    return ops.noise(x[None], dbeta[None])[0]
+
+
 def test_multiplicative_increment_m_equals_2i_case():
     # x = 0 with the paper diffusion has g(0) = 2, so the output is 2*dbeta
     m = allen_cahn_model(0.5)
     dbeta = np.array([0.3, -0.1, 0.7, 0.2])
-    out = multiplicative_increment(np.zeros(4), m, dbeta, 16).coeffs
+    out = multiplicative_increment(np.zeros(4), m, dbeta, 16)
     np.testing.assert_allclose(out, 2 * dbeta, atol=1e-12)
 
 
 def test_multiplicative_increment_zero():
     m = allen_cahn_model(0.5)
-    out = multiplicative_increment(np.ones(3), m, np.zeros(3), 12).coeffs
+    out = multiplicative_increment(np.ones(3), m, np.zeros(3), 12)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -118,16 +120,17 @@ def test_multiplicative_increment_linear():
     d1 = rng.standard_normal(4)
     d2 = rng.standard_normal(4)
     a, b = 1.3, -0.4
-    combined = multiplicative_increment(x, m, a * d1 + b * d2, 16).coeffs
-    split = (a * multiplicative_increment(x, m, d1, 16).coeffs
-             + b * multiplicative_increment(x, m, d2, 16).coeffs)
+    combined = multiplicative_increment(x, m, a * d1 + b * d2, 16)
+    split = (a * multiplicative_increment(x, m, d1, 16)
+             + b * multiplicative_increment(x, m, d2, 16))
     np.testing.assert_allclose(combined, split, atol=1e-12)
 
 
 def test_multiplicative_increment_rejects_bad_shape():
-    m = allen_cahn_model(0.5)
+    # increments of 2 noise modes cannot drive an operator built for 3
+    ops = GalerkinOperators(allen_cahn_model(0.5), 3, 3, 12)
     with pytest.raises(ValueError):
-        multiplicative_increment(np.ones(3), m, np.ones((2, 2)), 12)
+        ops.noise(np.ones((1, 3)), np.ones((2, 2)))
 
 
 def test_conditional_covariance_matches_closed_form():
@@ -136,7 +139,8 @@ def test_conditional_covariance_matches_closed_form():
     rng = np.random.default_rng(31)
     x = rng.standard_normal(4) * 0.5
     q = 16
-    mat = noise_matrix(x, m, 4, q)
+    # column k of M is the increment of the unit noise vector e_k
+    mat = GalerkinOperators(m, 4, 4, q).noise(np.tile(x, (4, 1)), np.eye(4)).T
     target = TAU * mat @ mat.T
     n_draws = 10**4
     draws = rng.standard_normal((n_draws, 4)) * math.sqrt(TAU)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from spde_ergo.model import (
+    GalerkinOperators,
     allen_cahn_model,
     constant_diffusion,
     heat_model,
-    nemytskii_drift,
     zero_model,
 )
 from spde_ergo.noise import NoiseStream
@@ -27,11 +27,15 @@ PARAMS = SchemeParams(n_modes=10, tau=TAU)
 AC = allen_cahn_model(0.5)
 
 
+def drift_ops(params, model):
+    return GalerkinOperators(model, params.n_modes, params.n_modes,
+                             params.resolved_quadrature(model))
+
+
 def hat_f(x, params, model):
     lam = eigenvalues(x.size)
-    q = params.resolved_quadrature(model)
     return ((1 + params.tau * lam) * x
-            - params.tau * nemytskii_drift(x, model, q).coeffs)
+            - params.tau * drift_ops(params, model).drift(x[None])[0])
 
 
 def run_states(x0, n_steps, params, model, stream):
@@ -66,8 +70,7 @@ def test_implicit_solve_linear_case_is_resolvent():
     rhs = rng.standard_normal(6)
     p = SchemeParams(n_modes=6, tau=TAU)
     sol, iters, _ = implicit_solve(rhs, p, m)
-    np.testing.assert_allclose(sol.coeffs, resolvent_apply(rhs, TAU).coeffs,
-                               atol=1e-13)
+    np.testing.assert_allclose(sol, resolvent_apply(rhs, TAU), atol=1e-13)
     assert iters <= 2
 
 
@@ -76,7 +79,7 @@ def test_implicit_solve_residual_below_tolerance():
     rhs = rng.standard_normal(10)
     sol, _, residual = implicit_solve(rhs, PARAMS, AC)
     assert residual <= PARAMS.newton_tol
-    res = hat_f(sol.coeffs, PARAMS, AC) - rhs
+    res = hat_f(sol, PARAMS, AC) - rhs
     assert np.linalg.norm(res) <= PARAMS.newton_tol
 
 
@@ -101,7 +104,40 @@ def test_implicit_solve_1d_against_bisection():
                 hi = mid
         oracle = 0.5 * (lo + hi)
         sol, _, _ = implicit_solve(np.array([r]), p, AC)
-        assert sol.coeffs[0] == pytest.approx(oracle, abs=1e-9)
+        assert sol[0] == pytest.approx(oracle, abs=1e-9)
+
+
+def test_newton_stalled_at_round_off_floor_is_converged():
+    # rhs of 1e6: the residual bottoms out at 4.8e-10 > newton_tol, the
+    # round-off floor of terms of size 1e8, and the line search runs dry
+    rhs = np.full(10, 1e6)
+    sol, iters, residual = implicit_solve(rhs, PARAMS, AC)
+    assert iters < PARAMS.newton_max_iter
+    assert PARAMS.newton_tol < residual <= 1e-9
+    res = hat_f(sol, PARAMS, AC) - rhs
+    assert np.linalg.norm(res) == pytest.approx(residual, rel=1e-12)
+    # in a noiseless engine step the stalled row is accepted while the
+    # other row converges
+    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0), K6=0.0)
+    seen = []
+    run_paths_vectorized(np.stack([rhs, np.ones(10)]), 1, PARAMS, g0, 0, 2,
+                         observers=(lambda step, x, w: seen.append(x.copy()),))
+    np.testing.assert_allclose(seen[1][0], sol, rtol=1e-12)
+    assert np.linalg.norm(hat_f(seen[1][1], PARAMS, g0) - 1.0) <= PARAMS.newton_tol
+
+
+def test_newton_stuck_above_floor_still_fails():
+    # f' of the wrong sign and size makes every Newton step an ascent
+    # direction, so the line search runs dry far above the round-off floor
+    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -u,
+                drift_deriv=lambda u: np.full_like(u, 2000.0))
+    x0 = np.zeros((2, 10))
+    x0[1] = 0.5
+    with pytest.raises(NonConvergenceError) as exc:
+        run_paths_vectorized(x0, 3, PARAMS, m, 1, 2, first_path_index=3)
+    assert (exc.value.path, exc.value.step) == (4, 0)
+    assert exc.value.residual > 1e-3
+    assert "path 4, step 0" in str(exc.value)
 
 
 def test_implicit_solve_unique_from_random_starts():
@@ -110,7 +146,7 @@ def test_implicit_solve_unique_from_random_starts():
         rhs = rng.standard_normal(10)
         a, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
         b, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-8
+        assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_strict_monotonicity_and_expansion_bound():
@@ -128,16 +164,14 @@ def test_strict_monotonicity_and_expansion_bound():
 
 
 def test_hat_f_directional_derivative_matches_fd():
-    from spde_ergo.model import nemytskii_jacobian
-
     rng = np.random.default_rng(5)
-    q = PARAMS.resolved_quadrature(AC)
+    ops = drift_ops(PARAMS, AC)
     lam = eigenvalues(10)
     for _ in range(5):
         x = rng.standard_normal(10)
         v = rng.standard_normal(10)
         v /= np.linalg.norm(v)
-        jac_dir = (1 + TAU * lam) * v - TAU * nemytskii_jacobian(x, AC, q) @ v
+        jac_dir = (1 + TAU * lam) * v - TAU * ops.jacobian(x[None])[0] @ v
         h = 1e-6
         fd = (hat_f(x + h * v, PARAMS, AC) - hat_f(x - h * v, PARAMS, AC)) / (2 * h)
         np.testing.assert_allclose(fd, jac_dir,
@@ -152,7 +186,7 @@ def test_dieg_step_deterministic_heat():
     states = run_states(x0, 1, p, m, NoiseStream(0))
     assert len(states) == 2
     x1, w1 = states[1]
-    np.testing.assert_allclose(x1, resolvent_apply(x0, TAU).coeffs, atol=1e-13)
+    np.testing.assert_allclose(x1, resolvent_apply(x0, TAU), atol=1e-13)
     np.testing.assert_allclose(w1, 0.0, atol=1e-15)
 
 
@@ -180,14 +214,14 @@ def test_dieg_step_defining_equation_residual():
 # The convolution update W' = S_{N,tau} (W + noise) is resolvent_apply.
 def test_convolution_update_single_step():
     noise = np.array([1.0, 2.0, -1.0])
-    w1 = resolvent_apply(np.zeros(3) + noise, TAU).coeffs
+    w1 = resolvent_apply(np.zeros(3) + noise, TAU)
     np.testing.assert_allclose(w1, noise / (1 + TAU * eigenvalues(3)), rtol=1e-15)
 
 
 def test_convolution_zero_noise_stays_zero():
     w = np.zeros(3)
     for _ in range(10):
-        w = resolvent_apply(w + np.zeros(3), TAU).coeffs
+        w = resolvent_apply(w + np.zeros(3), TAU)
     np.testing.assert_array_equal(w, 0.0)
 
 
@@ -198,7 +232,7 @@ def test_convolution_recursion_equals_direct_sum():
     noises = [rng.standard_normal(5) for _ in range(30)]
     w = np.zeros(5)
     for noise in noises:
-        w = resolvent_apply(w + noise, TAU).coeffs
+        w = resolvent_apply(w + noise, TAU)
     j = len(noises)
     direct = sum(factors ** (j - i) * noises[i] for i in range(j))
     np.testing.assert_allclose(w, direct, atol=1e-10)

@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spde_ergo.spectral import (
-    SpectralCoeffs,
-    analyze,
-    basis_eval,
     basis_matrix,
     eigenvalue,
     eigenvalues,
@@ -16,8 +13,12 @@ from spde_ergo.spectral import (
     grid_nodes,
     resolvent_apply,
     sobolev_norm,
-    synthesize,
 )
+
+
+def project(values, n):
+    """Galerkin coefficients (1/(Q+1)) sum_q values[q] e_k(xi_q), k <= n."""
+    return basis_matrix(n, len(values)).T @ values / (len(values) + 1)
 
 
 def test_eigenvalue_matches_pi_squared():
@@ -37,15 +38,21 @@ def test_eigenvalue_rejects_zero():
 
 
 def test_basis_eval_values():
-    assert basis_eval(1, 0.5) == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert basis_eval(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert basis_eval(3, 1 / 6) == pytest.approx(math.sqrt(2), rel=1e-15)
+    # Q = 5 puts nodes at 1/6 (row 0) and 1/2 (row 2)
+    mat = basis_matrix(3, 5)
+    assert mat[2, 0] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert mat[2, 1] == pytest.approx(0.0, abs=1e-15)
+    assert mat[0, 2] == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
 def test_basis_eval_rejects_boundary():
-    for xi in (0.0, 1.0, -0.1, 1.5):
+    # the basis is only evaluated at interior nodes, never at 0 or 1
+    for q in (1, 2, 7, 64):
+        xi = grid_nodes(q)
+        assert np.all((xi > 0.0) & (xi < 1.0))
+    for n, q in ((0, 4), (4, 0)):
         with pytest.raises(ValueError):
-            basis_eval(1, xi)
+            basis_matrix(n, q)
 
 
 def test_basis_orthonormal_quadrature():
@@ -61,37 +68,25 @@ def test_basis_orthonormal_quadrature():
 
 
 def test_synthesize_single_mode():
-    grid = synthesize([1.0, 0.0, 0.0], 3)
+    grid = basis_matrix(3, 3) @ np.array([1.0, 0.0, 0.0])
     expected = math.sqrt(2) * np.sin(np.pi * np.array([0.25, 0.5, 0.75]))
-    np.testing.assert_allclose(grid.values, expected, rtol=1e-15)
-    np.testing.assert_allclose(grid.values, [1.0, math.sqrt(2), 1.0], rtol=1e-15)
+    np.testing.assert_allclose(grid, expected, rtol=1e-15)
+    np.testing.assert_allclose(grid, [1.0, math.sqrt(2), 1.0], rtol=1e-15)
 
 
 def test_synthesize_zero():
-    assert np.all(synthesize(np.zeros(5), 8).values == 0)
-
-
-def test_synthesize_rejects_lossy_grid():
-    with pytest.raises(ValueError):
-        synthesize(np.ones(8), 4)
+    assert np.all(basis_matrix(5, 8) @ np.zeros(5) == 0)
 
 
 def test_analyze_single_mode_exact():
-    grid = synthesize([1.0, 0.0, 0.0, 0.0], 16)
-    c = analyze(grid, 4).coeffs
-    np.testing.assert_allclose(c, [1, 0, 0, 0], atol=1e-12)
+    grid = basis_matrix(4, 16) @ np.array([1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(project(grid, 4), [1, 0, 0, 0], atol=1e-12)
 
 
 def test_analyze_mode_above_truncation_is_invisible():
     xi = grid_nodes(16)
     grid = np.sin(5 * np.pi * xi)
-    c = analyze(grid, 4).coeffs
-    np.testing.assert_allclose(c, 0.0, atol=1e-12)
-
-
-def test_analyze_rejects_undersampled():
-    with pytest.raises(ValueError):
-        analyze(np.zeros(4), 8)
+    np.testing.assert_allclose(project(grid, 4), 0.0, atol=1e-12)
 
 
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
@@ -100,7 +95,8 @@ def test_parseval_roundtrip(n, seed):
     rng = np.random.default_rng(seed)
     q = n + int(rng.integers(0, 3 * n + 5))
     c = rng.standard_normal(n)
-    back = analyze(synthesize(c, q), n).coeffs
+    mat = basis_matrix(n, q)
+    back = mat.T @ (mat @ c) / (q + 1)
     np.testing.assert_allclose(back, c, atol=1e-12)
 
 
@@ -119,7 +115,7 @@ def test_sobolev_norm_beta_zero_is_l2():
 
 
 def test_resolvent_values():
-    out = resolvent_apply([1.0, 0.0], 0.05).coeffs
+    out = resolvent_apply([1.0, 0.0], 0.05)
     assert out[0] == pytest.approx(1 / (1 + 0.05 * math.pi**2), rel=1e-15)
     assert out[0] == pytest.approx(0.66957, abs=1e-5)
     assert out[1] == 0.0
@@ -131,13 +127,13 @@ def test_resolvent_contraction():
     bound = 1 / (1 + tau * math.pi**2)
     for _ in range(1000):
         c = rng.standard_normal(10)
-        out = resolvent_apply(c, tau).coeffs
+        out = resolvent_apply(c, tau)
         assert np.linalg.norm(out) <= bound * np.linalg.norm(c) + 1e-14
 
 
 def test_resolvent_small_tau_is_near_identity():
     c = np.array([1.0, -2.0, 0.5])
-    out = resolvent_apply(c, 1e-14).coeffs
+    out = resolvent_apply(c, 1e-14)
     np.testing.assert_allclose(out, c, rtol=1e-10)
 
 
@@ -177,16 +173,6 @@ def test_geometric_decay_sum_monotone_in_j_and_bounded():
         assert val < limit
         prev = val
     assert geometric_decay_sum(lam, tau, 500) <= limit
-
-
-def test_spectral_coeffs_validation():
-    with pytest.raises(ValueError):
-        SpectralCoeffs(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        SpectralCoeffs(np.array([]))
-    c = SpectralCoeffs(np.array([3.0, 4.0]))
-    assert c.n_modes == 2
-    assert c.norm() == pytest.approx(5.0)
 
 
 def test_basis_matrix_cached_readonly():
