@@ -41,7 +41,7 @@ from .ergodic import (
     EnsembleResult,
     EnsembleError,
     run_ensemble,
-    LyapunovReference,
+    lyapunov_rate,
     lyapunov_series,
     convolution_moment_report,
     agreement_check,

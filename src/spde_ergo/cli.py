@@ -28,11 +28,11 @@ from .ergodic import (
     INITIAL_DATA_IDS,
     EnsembleConfig,
     EnsembleError,
-    LyapunovReference,
     MomentSeries,
     agreement_check,
     convolution_moment_report,
     initial_datum,
+    lyapunov_rate,
     lyapunov_series,
     run_ensemble,
 )
@@ -97,16 +97,16 @@ class RunConfig:
     tau: float = 0.05
     noise_modes: int | None = None
     quadrature: int | None = None
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
+    newton_tol: float = SchemeParams.newton_tol
+    newton_max_iter: int = SchemeParams.newton_max_iter
     n_sweep: tuple[int, ...] | None = None
     steps: int = 2000
     paths: int = 200
     seed: int = 2024
-    burn_in: int = 0
+    burn_in: int = EnsembleConfig.burn_in
     initials: tuple[str, ...] = INITIAL_DATA_IDS
-    functionals: tuple[str, ...] = FUNCTIONAL_TAGS
-    moment_betas: tuple[float, ...] = (0.0, 0.25, 0.4)
+    functionals: tuple[str, ...] = EnsembleConfig.functionals
+    moment_betas: tuple[float, ...] = EnsembleConfig.moment_betas
     directory: str = "out"
 
     def build_diffusion(self):
@@ -119,8 +119,8 @@ class RunConfig:
             try:
                 level = float(value)
             except ValueError:
-                pass
-            else:
+                level = math.nan
+            if math.isfinite(level):
                 return constant_diffusion(level), abs(level)
         raise ConfigError([f"model.diffusion must be paper, zero or "
                            f"constant:<number>, got {self.diffusion!r}"])
@@ -286,23 +286,22 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
             f"scheme.newton_tol must be finite and positive, got {cfg.newton_tol}")
     if cfg.newton_max_iter < 1:
         errors.append("scheme.newton_max_iter must be >= 1")
-    if not cfg.epsilon > 0:
-        errors.append(f"model.epsilon must be positive, got {cfg.epsilon}")
-    if not errors:
-        # Step-size admissibility needs the model constants.
+    # The model checks its own keys (epsilon, diffusion); step-size
+    # admissibility needs its constants and an otherwise clean config.
+    try:
+        model = cfg.build_model()
+    except ConfigError as exc:
+        errors.extend(exc.messages)
+    if errors:
+        return errors
+    result = validate_step_constraint(model.constants, cfg.tau)
+    errors.extend(f"scheme.tau: {msg}" for msg in result.messages)
+    # The dealiasing floor grows with N; check every N a command runs.
+    for n in sorted({cfg.n_modes, *(cfg.n_sweep or ())}):
         try:
-            model = cfg.build_model()
-        except ConfigError as exc:
-            errors.extend(exc.messages)
-        else:
-            result = validate_step_constraint(model.constants, cfg.tau)
-            errors.extend(f"scheme.tau: {msg}" for msg in result.messages)
-            # The dealiasing floor grows with N; check every N a command runs.
-            for n in sorted({cfg.n_modes, *(cfg.n_sweep or ())}):
-                try:
-                    cfg.build_params(n).resolved_quadrature(model)
-                except ValueError as exc:
-                    errors.append(f"scheme.quadrature for N = {n}: {exc}")
+            cfg.build_params(n).resolved_quadrature(model)
+        except ValueError as exc:
+            errors.append(f"scheme.quadrature for N = {n}: {exc}")
     return errors
 
 
@@ -333,90 +332,66 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_summary(out_dir: Path, cfg: RunConfig, t0: float, **sections) -> None:
+    """Write summary.json: the fixed fields, the wall clock since t0, sections."""
+    seed = cfg.effective_seed()
+    summary = {
+        "artifact_version": __version__,
+        "config": {**asdict(cfg), "effective_seed": seed},
+        "seed": seed,
+        "wall_clock_seconds": round(time.monotonic() - t0, 3),
+        **sections,
+    }
+    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["effective_seed"] = cfg.effective_seed()
-    return echo
-
-
-def _base_summary(cfg: RunConfig, t_start: float) -> dict:
-    return {
-        "artifact_version": __version__,
-        "config": _config_echo(cfg),
-        "seed": cfg.effective_seed(),
-        "wall_clock_seconds": round(time.monotonic() - t_start, 3),
-    }
+def _series_rows(series: MomentSeries, tau: float):
+    """(step, t, value, stderr) text of each entry of a series."""
+    for step, value, stderr in zip(series.steps, series.values, series.stderrs):
+        step = int(step)
+        yield str(step), _fmt(step * tau), _fmt(value), _fmt(stderr)
 
 
 def cmd_ergodic(cfg: RunConfig, out_dir: Path) -> int:
     """Run the time-average experiment for every configured initial datum."""
     t0 = time.monotonic()
     model = cfg.build_model()
-    results = {}
-    for initial in cfg.initials:
-        results[initial] = run_ensemble(cfg.ensemble_config(initial, model))
-
-    rows = []
-    for initial in cfg.initials:
-        res = results[initial]
-        for tag in cfg.functionals:
-            series = res.time_averages[tag]
-            for i in range(len(series.steps)):
-                step = int(series.steps[i])
-                rows.append((str(step), _fmt(step * cfg.tau), tag, initial,
-                             _fmt(series.values[i]), _fmt(series.stderrs[i])))
+    results = {initial: run_ensemble(cfg.ensemble_config(initial, model))
+               for initial in cfg.initials}
+    rows = [(step, t, tag, initial, value, stderr)
+            for initial, res in results.items()
+            for tag, series in res.time_averages.items()
+            for step, t, value, stderr in _series_rows(series, cfg.tau)]
     rows.sort(key=lambda r: (int(r[0]), r[2], r[3]))
     _write_csv(out_dir / "time_averages.csv",
                "step,t,functional,initial,running_avg,stderr", rows)
 
-    summary = _base_summary(cfg, t0)
-    summary["finals"] = {
-        initial: {tag: {"value": results[initial].time_averages[tag].final,
-                        "stderr": results[initial].time_averages[tag].final_stderr}
-                  for tag in cfg.functionals}
-        for initial in cfg.initials
-    }
-    exit_code = 0
+    finals = {initial: {tag: {"value": series.final, "stderr": series.final_stderr}
+                        for tag, series in res.time_averages.items()}
+              for initial, res in results.items()}
+    agreement, exit_code = {"status": "single-initial, skipped"}, 0
     if len(cfg.initials) >= 2:
         verdict = agreement_check(results)
-        summary["agreement"] = {
-            "max_diff": verdict.max_diff,
-            "pooled_stderr": verdict.pooled_stderr,
-            "tolerance": verdict.tolerance,
-            "passed": verdict.passed,
-            "all_passed": verdict.all_passed,
-        }
-        if not verdict.all_passed:
-            exit_code = 3
-    else:
-        summary["agreement"] = {"status": "single-initial, skipped"}
-    _write_summary(out_dir / "summary.json", summary)
+        agreement = {**asdict(verdict), "all_passed": verdict.all_passed}
+        exit_code = 0 if verdict.all_passed else 3
+    _write_summary(out_dir, cfg, t0, finals=finals, agreement=agreement)
     return exit_code
 
 
 def _moment_rows(series: MomentSeries, name: str, n_modes: int, beta: float,
                  tau: float):
-    for i in range(len(series.steps)):
-        step = int(series.steps[i])
-        yield (name, str(n_modes), _fmt(beta), str(step), _fmt(step * tau),
-               _fmt(series.values[i]), _fmt(series.stderrs[i]))
+    head = (name, str(n_modes), _fmt(beta))
+    return (head + row for row in _series_rows(series, tau))
 
 
 def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
     """Second-moment series per initial datum with the Lyapunov verdict."""
     t0 = time.monotonic()
     model = cfg.build_model()
-    ref = LyapunovReference.from_model(model, cfg.tau)
-    summary = _base_summary(cfg, t0)
-    summary["gamma"] = ref.gamma
-    summary["reports"] = {}
-    all_ok = True
+    gamma = lyapunov_rate(model, cfg.tau)
+    reports = {}
     for initial in cfg.initials:
         res = run_ensemble(cfg.ensemble_config(initial, model))
         _write_csv(out_dir / f"moments_{initial}.csv",
@@ -424,21 +399,11 @@ def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
                    _moment_rows(res.x_moment, "x_norm_sq", cfg.n_modes, 0.0,
                                 cfg.tau))
         x0_ns = float(np.sum(initial_datum(initial, cfg.n_modes) ** 2))
-        report = lyapunov_series(res.x_moment, ref, x0_ns, cfg.tau,
+        report = lyapunov_series(res.x_moment, gamma, x0_ns, cfg.tau,
                                  burn_in_steps=cfg.burn_in)
-        ok = report.bounded and report.decayed_below_initial
-        all_ok = all_ok and ok
-        summary["reports"][initial] = {
-            "x0_norm_sq": report.x0_norm_sq,
-            "max_after_burn_in": report.max_after_burn_in,
-            "decayed_below_initial": report.decayed_below_initial,
-            "empirical_envelope": report.empirical_envelope,
-            "bounded": report.bounded,
-            "passed": ok,
-        }
-    summary["wall_clock_seconds"] = round(time.monotonic() - t0, 3)
-    _write_summary(out_dir / "summary.json", summary)
-    return 0 if all_ok else 3
+        reports[initial] = {**asdict(report), "passed": report.passed}
+    _write_summary(out_dir, cfg, t0, gamma=gamma, reports=reports)
+    return 0 if all(r["passed"] for r in reports.values()) else 3
 
 
 def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
@@ -456,9 +421,8 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
             series_by_key[(n, beta)] = series
             rows.extend(_moment_rows(series, "w_sobolev_sq", n, beta, cfg.tau))
     _write_csv(out_dir / "moments.csv", "series,N,beta,step,t,mean,stderr", rows)
-    report = convolution_moment_report(series_by_key, p=2)
-    summary = _base_summary(cfg, t0)
-    summary["uniformity"] = {
+    report = convolution_moment_report(series_by_key)
+    _write_summary(out_dir, cfg, t0, uniformity={
         "p": report.p,
         "sup": {f"N={n},beta={_fmt(b)}": v
                 for (n, b), v in report.sup_by_key.items()},
@@ -466,9 +430,7 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
                         for (n, b), v in report.trend_ratio_by_key.items()},
         "n_ratio": {f"beta={_fmt(b)}": v
                     for b, v in report.n_ratio_by_beta.items()},
-    }
-    summary["wall_clock_seconds"] = round(time.monotonic() - t0, 3)
-    _write_summary(out_dir / "summary.json", summary)
+    })
     return 0
 
 
@@ -499,11 +461,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "residuals.csv", "step,residual",
                ((str(j + 1), _fmt(r)) for j, r in enumerate(residuals)))
 
-    summary = _base_summary(cfg, t0)
-    summary["initial"] = initial
-    summary["max_residual"] = float(np.max(residuals)) if residuals.size else 0.0
-    summary["max_newton_iters"] = max_iters
-    _write_summary(out_dir / "summary.json", summary)
+    _write_summary(out_dir, cfg, t0, initial=initial, max_newton_iters=max_iters,
+                   max_residual=float(np.max(residuals)) if residuals.size else 0.0)
     return 0
 
 

@@ -39,7 +39,8 @@ __all__ = [
     "EnsembleResult",
     "EnsembleError",
     "run_ensemble",
-    "LyapunovReference",
+    "LYAPUNOV_EPSILON_AUX",
+    "lyapunov_rate",
     "LyapunovReport",
     "lyapunov_series",
     "ConvolutionMomentReport",
@@ -155,12 +156,11 @@ class EnsembleConfig:
 
 
 class EnsembleError(RuntimeError):
-    """The ensemble run failed; carries the underlying failures."""
+    """The ensemble run failed; names the run (initial datum and N) and its cause."""
 
-    def __init__(self, failures: list[tuple[object, Exception]]):
-        self.failures = failures
-        lines = ", ".join(f"{label}: {e}" for label, e in failures[:5])
-        super().__init__(f"ensemble run failed ({lines})")
+    def __init__(self, label: str, cause: Exception):
+        self.label, self.cause = label, cause
+        super().__init__(f"ensemble run failed ({label}: {cause})")
 
 
 @dataclass
@@ -221,7 +221,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
             cfg.initial_coeffs(), n_steps, params, model,
             cfg.master_seed, n_paths, observers=(observer,))
     except (NonConvergenceError, SingularLinearSolveError) as exc:
-        raise EnsembleError([(f"initial {cfg.initial!r}", exc)]) from exc
+        raise EnsembleError(f"initial {cfg.initial!r}, N = {params.n_modes}",
+                            exc) from exc
 
     steps = np.arange(n_steps + 1)
     # A single path has m2 = 0 and reads a zero stderr.
@@ -244,49 +245,46 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     )
 
 
-@dataclass(frozen=True)
-class LyapunovReference:
+# Slack eps_aux in the second-moment contraction estimate behind lyapunov_rate.
+LYAPUNOV_EPSILON_AUX = 0.1
+
+
+def lyapunov_rate(model: CoefficientModel, tau: float) -> float:
     """Decay rate gamma from the second-moment contraction estimate.
 
-    gamma = ((2 - eps_aux) lambda_1 - 2 K2) / (1 + ((2 - eps_aux) lambda_1
-    - 2 K2) tau), positive whenever K2 < lambda_1 and eps_aux is small.
+    gamma = r / (1 + r tau) with r = (2 - eps_aux) lambda_1 - 2 K2, positive
+    whenever K2 < lambda_1 and eps_aux is small.
     """
-
-    gamma: float
-    epsilon_aux: float = 0.1
-
-    @classmethod
-    def from_model(cls, model: CoefficientModel, tau: float,
-                   epsilon_aux: float = 0.1) -> "LyapunovReference":
-        lam1 = eigenvalue(1)
-        rate = (2.0 - epsilon_aux) * lam1 - 2.0 * model.constants.K2
-        if rate <= 0:
-            raise ValueError("K2 >= lambda_1: no Lyapunov contraction rate")
-        return cls(gamma=rate / (1.0 + rate * tau), epsilon_aux=epsilon_aux)
+    rate = (2.0 - LYAPUNOV_EPSILON_AUX) * eigenvalue(1) - 2.0 * model.constants.K2
+    if rate <= 0:
+        raise ValueError("K2 >= lambda_1: no Lyapunov contraction rate")
+    return rate / (1.0 + rate * tau)
 
 
 @dataclass(frozen=True)
 class LyapunovReport:
     """Boundedness/decay summary of an E||X_j||^2 series."""
 
-    gamma: float
     x0_norm_sq: float
     max_after_burn_in: float
     decayed_below_initial: bool
     empirical_envelope: float  # max_j [mean_j - exp(-gamma t_j) x0_norm_sq]
     bounded: bool
 
+    @property
+    def passed(self) -> bool:
+        return self.bounded and self.decayed_below_initial
 
-def lyapunov_series(m: MomentSeries, ref: LyapunovReference, x0_norm_sq: float,
+
+def lyapunov_series(m: MomentSeries, gamma: float, x0_norm_sq: float,
                     tau: float, burn_in_steps: int = 0) -> LyapunovReport:
     """Compare an E||X_j||^2 series against its exponential Lyapunov envelope."""
     t = m.steps * tau
-    envelope = m.values - np.exp(-ref.gamma * t) * x0_norm_sq
+    envelope = m.values - np.exp(-gamma * t) * x0_norm_sq
     after = m.values[m.steps >= burn_in_steps]
     max_after = float(np.max(after)) if after.size else float("nan")
     tail = m.values[m.steps >= m.steps[-1] // 2]
     return LyapunovReport(
-        gamma=ref.gamma,
         x0_norm_sq=x0_norm_sq,
         max_after_burn_in=max_after,
         decayed_below_initial=bool(np.min(tail) <= x0_norm_sq or x0_norm_sq == 0.0),
@@ -299,23 +297,21 @@ def lyapunov_series(m: MomentSeries, ref: LyapunovReference, x0_norm_sq: float,
 class ConvolutionMomentReport:
     """Uniformity summary of E||W_j||_beta^p series across (N, beta)."""
 
-    p: int
+    p = 2  # moment order: the series hold squared norms
     sup_by_key: dict[tuple[int, float], float]
     trend_ratio_by_key: dict[tuple[int, float], float]
     n_ratio_by_beta: dict[float, float]
 
 
-def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSeries],
-                              p: int = 2) -> ConvolutionMomentReport:
+def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSeries]
+                              ) -> ConvolutionMomentReport:
     """Report sup over j, the j-growth trend, and the across-N sup ratio.
 
-    Each series must already hold ensemble means of ||W_j||_beta^p at the
-    stated p. The trend ratio compares the last-quarter mean to the
-    second-quarter mean; the N ratio compares sup_j at the largest N to the
-    smallest N for each beta, probing the claimed uniformity in both j and N.
+    Each series must hold ensemble means of ||W_j||_beta^2. The trend ratio
+    compares the last-quarter mean to the second-quarter mean; the N ratio
+    compares sup_j at the largest N to the smallest N for each beta, probing
+    the claimed uniformity in both j and N.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError("p must be an even integer >= 2")
     sup_by_key = {}
     trend_by_key = {}
     for key, series in series_by_key.items():
@@ -332,7 +328,7 @@ def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSerie
         ns = sorted(n for (n, b) in series_by_key if b == beta)
         if len(ns) >= 2:
             n_ratio[beta] = sup_by_key[(ns[-1], beta)] / sup_by_key[(ns[0], beta)]
-    return ConvolutionMomentReport(p=p, sup_by_key=sup_by_key,
+    return ConvolutionMomentReport(sup_by_key=sup_by_key,
                                    trend_ratio_by_key=trend_by_key,
                                    n_ratio_by_beta=n_ratio)
 

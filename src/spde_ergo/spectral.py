@@ -12,7 +12,6 @@ bandwidth is at most Q.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,19 +49,12 @@ def grid_nodes(q_nodes: int) -> np.ndarray:
     return np.arange(1, q_nodes + 1) / (q_nodes + 1)
 
 
-@lru_cache(maxsize=64)
-def _basis_matrix_cached(n_modes: int, q_nodes: int) -> np.ndarray:
-    xi = grid_nodes(q_nodes)
-    k = np.arange(1, n_modes + 1)
-    mat = math.sqrt(2.0) * np.sin(np.pi * np.outer(xi, k))
-    mat.setflags(write=False)
-    return mat
-
 def basis_matrix(n_modes: int, q_nodes: int) -> np.ndarray:
-    """(Q x N) matrix E with E[q,k] = e_{k+1}(xi_{q+1}); read-only, cached."""
+    """(Q x N) matrix E with E[q,k] = e_{k+1}(xi_{q+1})."""
     if n_modes < 1 or q_nodes < 1:
         raise ValueError("n_modes and q_nodes must be >= 1")
-    return _basis_matrix_cached(n_modes, q_nodes)
+    k = np.arange(1, n_modes + 1)
+    return math.sqrt(2.0) * np.sin(np.pi * np.outer(grid_nodes(q_nodes), k))
 
 
 def sobolev_norm(c, beta: float) -> float:

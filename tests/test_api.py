@@ -9,7 +9,7 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "SpectralCoeffs", "PhysicalGrid", "basis_eval", "synthesize", "analyze",
            "nemytskii_drift", "nemytskii_jacobian", "noise_matrix",
            "validate_nondegeneracy", "NondegeneracyResult",
-           "multiplicative_increment", "RunningAverage")
+           "multiplicative_increment", "RunningAverage", "LyapunovReference")
 
 
 def test_all_names_no_module():

@@ -28,6 +28,8 @@ run.initials = sine, mix_minus
 
 SINGLE_INITIAL = TINY.replace("sine, mix_minus", "sine")
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_cfg(tmp_path, text=TINY, name="run.cfg"):
     p = tmp_path / name
@@ -64,6 +66,18 @@ def test_paper_preset_parses():
     assert cfg.n_modes == 10
     assert cfg.initials == ("sine", "mix_plus", "mix_minus")
     assert cfg.directory == "out_paper"
+
+
+@pytest.mark.parametrize("name", ["desk.cfg", "paper.cfg"])
+def test_shipped_configs_parse(name):
+    cfg = parse_config((CONFIGS / name).read_text(encoding="utf-8"))
+    assert cfg.initials == ("sine", "mix_plus", "mix_minus")
+
+
+def test_paper_cfg_matches_preset():
+    # configs/paper.cfg and PAPER_PRESET are two copies of one preset.
+    text = (CONFIGS / "paper.cfg").read_text(encoding="utf-8")
+    assert parse_config(text) == parse_config(PAPER_PRESET)
 
 
 def test_unknown_key_rejected():
@@ -141,8 +155,11 @@ def test_degenerate_epsilon_rejected_before_any_run(tmp_path, capsys, epsilon):
 @pytest.mark.parametrize("old, new, key", [
     ("diffusion = paper", "diffusion = constant:abc", "model.diffusion"),
     ("diffusion = paper", "diffusion = brownian", "model.diffusion"),
+    ("diffusion = paper", "diffusion = constant:nan", "line 3: model.diffusion"),
+    ("diffusion = paper", "diffusion = constant:inf", "line 3: model.diffusion"),
     ("name = allen_cahn", "name = burgers", "model.name"),
-], ids=["constant-abc", "unknown-diffusion", "unknown-name"])
+], ids=["constant-abc", "unknown-diffusion", "constant-nan", "constant-inf",
+        "unknown-name"])
 def test_bad_model_spec_names_its_key(tmp_path, capsys, old, new, key):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, TINY.replace(old, new))
@@ -172,6 +189,25 @@ def test_empty_or_repeated_list_rejected_before_any_run(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out.exists()
+
+
+def test_heat_model_ignores_epsilon(tmp_path):
+    # Only the Allen-Cahn drift reads epsilon.
+    text = SINGLE_INITIAL.replace("name = allen_cahn", "name = heat").replace(
+        "epsilon = 0.5", "epsilon = -1")
+    out = tmp_path / "out"
+    assert main(["ergodic", "--config", write_cfg(tmp_path, text),
+                 "--output", str(out)]) == 0
+    assert (out / "summary.json").exists()
+
+
+def test_failed_sweep_leg_names_its_n(tmp_path, capsys):
+    text = TINY + "scheme.n_sweep = 6, 12\nscheme.newton_max_iter = 3\n"
+    out = tmp_path / "out"
+    assert main(["convolution", "--config", write_cfg(tmp_path, text),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "initial 'sine', N = 6:" in err
 
 
 def test_unknown_initial_rejected():

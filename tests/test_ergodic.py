@@ -7,12 +7,12 @@ import pytest
 from spde_ergo.ergodic import (
     FUNCTIONAL_TAGS,
     EnsembleConfig,
-    LyapunovReference,
     MomentSeries,
     agreement_check,
     convolution_moment_report,
     functional_eval,
     initial_datum,
+    lyapunov_rate,
     lyapunov_series,
     run_ensemble,
 )
@@ -227,11 +227,11 @@ def test_w_moment_limit_matches_geometric_sum():
 
 def test_lyapunov_reference_gamma():
     m = allen_cahn_model(0.5)
-    ref = LyapunovReference.from_model(m, TAU, epsilon_aux=0.1)
+    gamma = lyapunov_rate(m, TAU)
     lam1 = math.pi**2
-    rate = 1.9 * lam1 + 2.0
-    assert ref.gamma == pytest.approx(rate / (1 + rate * TAU), rel=1e-12)
-    assert ref.gamma > 0
+    rate = 1.9 * lam1 + 2.0  # eps_aux = 0.1, K2 = -1
+    assert gamma == pytest.approx(rate / (1 + rate * TAU), rel=1e-12)
+    assert gamma > 0
 
 
 def test_lyapunov_series_exact_linear_decay():
@@ -240,10 +240,10 @@ def test_lyapunov_series_exact_linear_decay():
     res = run_ensemble(cfg)
     x0_ns = 0.5
     gamma_exact = 2 * math.log(1 + TAU * math.pi**2) / TAU
-    ref = LyapunovReference(gamma=gamma_exact * 0.999)
-    report = lyapunov_series(res.x_moment, ref, x0_ns, TAU)
+    report = lyapunov_series(res.x_moment, gamma_exact * 0.999, x0_ns, TAU)
     assert report.bounded
     assert report.decayed_below_initial
+    assert report.passed
     assert report.empirical_envelope <= 1e-12
 
 
@@ -255,9 +255,16 @@ def test_lyapunov_series_zero_trajectory():
     zero = MomentSeries(steps=res.x_moment.steps,
                         values=np.zeros_like(res.x_moment.values),
                         stderrs=np.zeros_like(res.x_moment.stderrs))
-    report = lyapunov_series(zero, LyapunovReference(gamma=1.0), 0.0, TAU)
+    report = lyapunov_series(zero, 1.0, 0.0, TAU)
     assert report.max_after_burn_in == 0.0
     assert report.bounded
+
+
+def test_lyapunov_report_fails_without_decay():
+    growing = MomentSeries(np.arange(8), np.linspace(1.0, 2.0, 8), np.zeros(8))
+    report = lyapunov_series(growing, 1.0, 0.5, TAU)
+    assert report.bounded and not report.decayed_below_initial
+    assert not report.passed
 
 
 def test_convolution_report_zero_noise():
@@ -274,11 +281,10 @@ def test_convolution_report_structure():
         (10, 0.4): MomentSeries(np.arange(8), np.linspace(0, 1, 8), np.zeros(8)),
         (40, 0.4): MomentSeries(np.arange(8), np.linspace(0, 1.1, 8), np.zeros(8)),
     }
-    report = convolution_moment_report(series, p=2)
+    report = convolution_moment_report(series)
+    assert report.p == 2
     assert report.sup_by_key[(40, 0.4)] == pytest.approx(1.1)
     assert report.n_ratio_by_beta[0.4] == pytest.approx(1.1)
-    with pytest.raises(ValueError):
-        convolution_moment_report(series, p=3)
 
 
 def _fake_results(finals_by_initial, stderr=0.001):

