@@ -95,8 +95,6 @@ class RunConfig:
     diffusion: str = "paper"
     n_modes: int = 10
     tau: float = 0.05
-    noise_modes: int | None = None
-    quadrature: int | None = None
     newton_tol: float = SchemeParams.newton_tol
     newton_max_iter: int = SchemeParams.newton_max_iter
     n_sweep: tuple[int, ...] | None = None
@@ -141,8 +139,6 @@ class RunConfig:
         return SchemeParams(
             n_modes=self.n_modes if n_modes is None else n_modes,
             tau=self.tau,
-            noise_modes=self.noise_modes,
-            quadrature=self.quadrature,
             newton_tol=self.newton_tol,
             newton_max_iter=self.newton_max_iter,
         )
@@ -191,8 +187,6 @@ _SCHEMA = {
     "model.diffusion": ("diffusion", str),
     "scheme.n_modes": ("n_modes", int),
     "scheme.tau": ("tau", float),
-    "scheme.noise_modes": ("noise_modes", int),
-    "scheme.quadrature": ("quadrature", int),
     "scheme.newton_tol": ("newton_tol", float),
     "scheme.newton_max_iter": ("newton_max_iter", int),
     "scheme.n_sweep": ("n_sweep", _parse_list(int)),
@@ -279,8 +273,6 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
             errors.append(f"run.moment_betas entries must lie in [0, 1/2), got {beta}")
     if cfg.n_sweep is not None and any(n < 1 for n in cfg.n_sweep):
         errors.append("scheme.n_sweep entries must be >= 1")
-    if cfg.noise_modes is not None and cfg.noise_modes < 1:
-        errors.append("scheme.noise_modes must be >= 1")
     if not 0 < cfg.newton_tol < math.inf:
         errors.append(
             f"scheme.newton_tol must be finite and positive, got {cfg.newton_tol}")
@@ -296,12 +288,6 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
         return errors
     result = validate_step_constraint(model.constants, cfg.tau)
     errors.extend(f"scheme.tau: {msg}" for msg in result.messages)
-    # The dealiasing floor grows with N; check every N a command runs.
-    for n in sorted({cfg.n_modes, *(cfg.n_sweep or ())}):
-        try:
-            cfg.build_params(n).resolved_quadrature(model)
-        except ValueError as exc:
-            errors.append(f"scheme.quadrature for N = {n}: {exc}")
     return errors
 
 
@@ -422,7 +408,7 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
             rows.extend(_moment_rows(series, "w_sobolev_sq", n, beta, cfg.tau))
     _write_csv(out_dir / "moments.csv", "series,N,beta,step,t,mean,stderr", rows)
     report = convolution_moment_report(series_by_key)
-    _write_summary(out_dir, cfg, t0, uniformity={
+    _write_summary(out_dir, cfg, t0, initial=initial, uniformity={
         "p": report.p,
         "sup": {f"N={n},beta={_fmt(b)}": v
                 for (n, b), v in report.sup_by_key.items()},

@@ -183,7 +183,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     ascending path order, so the result is a pure function of cfg.
     """
     params, model = cfg.params, cfg.model
-    params.validate(model)
     n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
     lam = eigenvalues(params.n_modes)
     lam_pows = [lam**beta for beta in cfg.moment_betas]

@@ -28,8 +28,6 @@ __all__ = [
     "zero_model",
     "heat_model",
     "validate_step_constraint",
-    "drift_quadrature_floor",
-    "noise_quadrature_floor",
     "default_quadrature",
     "GalerkinOperators",
 ]
@@ -180,9 +178,6 @@ class StepConstraintResult:
     c0: float
     messages: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_step_constraint(constants: ModelConstants, tau: float) -> StepConstraintResult:
     """Check (K1 - lambda_1) tau < 1 and K2 < lambda_1; reports C0 = 1 - (K1 - lambda_1) tau."""
@@ -201,22 +196,15 @@ def validate_step_constraint(constants: ModelConstants, tau: float) -> StepConst
     return StepConstraintResult(ok=not msgs, c0=c0, messages=tuple(msgs))
 
 
-def drift_quadrature_floor(n_modes: int, constants: ModelConstants) -> int:
-    """Smallest Q resolving products of the drift's polynomial degree.
+def default_quadrature(n_modes: int, constants: ModelConstants) -> int:
+    """Dealiased quadrature size for Galerkin dimension N: max((d + 1) N, 2N + 1).
 
-    A degree-d polynomial of a bandwidth-N state, paired with a test mode,
-    has sine bandwidth (d + 1) N.
+    Two aliasing floors: a degree-d drift (d = ceil(q)) of a bandwidth-N
+    state, paired with a test mode, has sine bandwidth (d + 1) N; the noise
+    increment pairs a state mode with one of the N noise modes, bandwidth
+    2N, and Q is kept above it.
     """
-    return (math.ceil(constants.q) + 1) * n_modes
-
-
-def noise_quadrature_floor(n_modes: int, noise_modes: int) -> int:
-    return n_modes + noise_modes
-
-
-def default_quadrature(n_modes: int, noise_modes: int, constants: ModelConstants) -> int:
-    return max(drift_quadrature_floor(n_modes, constants),
-               noise_quadrature_floor(n_modes, noise_modes) + 1)
+    return max((math.ceil(constants.q) + 1) * n_modes, 2 * n_modes + 1)
 
 
 class GalerkinOperators:
@@ -226,20 +214,18 @@ class GalerkinOperators:
     coefficient vectors, lifts them to the Q interior quadrature nodes,
     applies f, f' or g pointwise and projects back with weight 1/(Q+1).
     A single coefficient vector is a one-row array. The drift of a degree-d
-    polynomial f is exact once Q reaches the drift floor (d + 1) N, which
-    SchemeParams enforces. Q must reach the noise floor N + N_w, below which
-    even a constant coefficient aliases.
+    polynomial f is exact once Q reaches the drift floor (d + 1) N, and the
+    scheme uses default_quadrature. Q must reach the noise floor 2N, below
+    which even a constant coefficient aliases.
     """
 
-    def __init__(self, model: CoefficientModel, n_modes: int, noise_modes: int,
-                 q_nodes: int):
-        floor = noise_quadrature_floor(n_modes, noise_modes)
+    def __init__(self, model: CoefficientModel, n_modes: int, q_nodes: int):
+        floor = 2 * n_modes
         if q_nodes < floor:
             raise ValueError(f"Q={q_nodes} below noise quadrature floor {floor}")
         self.model = model
         self.n = n_modes
         self.basis = basis_matrix(n_modes, q_nodes)
-        self.basis_w = basis_matrix(noise_modes, q_nodes)
         self.weight = 1.0 / (q_nodes + 1)
         # (Q x N^2) table of e_n(xi_q) e_m(xi_q) / (Q+1): assembling every
         # row's Jacobian is then a single matrix product.
@@ -257,6 +243,6 @@ class GalerkinOperators:
         return (fp @ self._products).reshape(len(x), self.n, self.n)
 
     def noise(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
-        """Rows of P_N G(x) dW for the (P, N_w) noise-mode increments dbeta."""
+        """Rows of P_N G(x) dW for the (P, N) noise-mode increments dbeta."""
         gu = self.model.diffusion(x @ self.basis.T)
-        return (gu * (dbeta @ self.basis_w.T)) @ self.basis * self.weight
+        return (gu * (dbeta @ self.basis.T)) @ self.basis * self.weight

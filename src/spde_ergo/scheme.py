@@ -65,14 +65,12 @@ class SingularLinearSolveError(RuntimeError):
 class SchemeParams:
     """Everything fixing one DIEG discretization.
 
-    quadrature=None resolves to the model's dealiasing floor at run time;
-    noise_modes=None matches the Galerkin resolution N.
+    N is the one resolution: the noise has N modes and the quadrature is
+    the model's dealiasing floor, default_quadrature(N, constants).
     """
 
     n_modes: int
     tau: float
-    noise_modes: int | None = None
-    quadrature: int | None = None
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
 
@@ -81,25 +79,9 @@ class SchemeParams:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.noise_modes is not None and self.noise_modes < 1:
-            raise ValueError("noise_modes must be >= 1")
         if not 0 < self.newton_tol < math.inf or self.newton_max_iter < 1:
             raise ValueError(
                 "newton_tol must be finite and positive, newton_max_iter >= 1")
-
-    def resolved_noise_modes(self) -> int:
-        return self.noise_modes if self.noise_modes is not None else self.n_modes
-
-    def resolved_quadrature(self, model: CoefficientModel) -> int:
-        floor = default_quadrature(self.n_modes, self.resolved_noise_modes(),
-                                   model.constants)
-        if self.quadrature is None:
-            return floor
-        if self.quadrature < floor:
-            raise ValueError(
-                f"quadrature Q={self.quadrature} below dealiasing floor {floor}"
-            )
-        return self.quadrature
 
     def validate(self, model: CoefficientModel) -> None:
         result = validate_step_constraint(model.constants, self.tau)
@@ -116,9 +98,8 @@ class _Workspace(GalerkinOperators):
 
     def __init__(self, params: SchemeParams, model: CoefficientModel):
         params.validate(model)
-        self.n_w = params.resolved_noise_modes()
-        super().__init__(model, params.n_modes, self.n_w,
-                         params.resolved_quadrature(model))
+        super().__init__(model, params.n_modes,
+                         default_quadrature(params.n_modes, model.constants))
         self.tau = params.tau
         self.one_plus = 1.0 + self.tau * eigenvalues(self.n)
         self.res_factors = resolvent_factors(self.n, self.tau)
@@ -291,7 +272,7 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     max_res = 0.0
     for j in range(n_steps):
         dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
-                                          first_step + j, ws.n_w)
+                                          first_step + j, ws.n)
         # One DIEG step of every row; chain and convolution share the noise.
         noise = ws.noise(x, dbeta)
         x, iters, res = ws.newton(x + noise, x, j, first_path_index)

@@ -9,7 +9,8 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "SpectralCoeffs", "PhysicalGrid", "basis_eval", "synthesize", "analyze",
            "nemytskii_drift", "nemytskii_jacobian", "noise_matrix",
            "validate_nondegeneracy", "NondegeneracyResult",
-           "multiplicative_increment", "RunningAverage", "LyapunovReference")
+           "multiplicative_increment", "RunningAverage", "LyapunovReference",
+           "drift_quadrature_floor", "noise_quadrature_floor")
 
 
 def test_all_names_no_module():

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from spde_ergo.cli import (
     PAPER_PRESET,
     SEED_ENV_VAR,
+    _SCHEMA,
     ConfigError,
     RunConfig,
     main,
@@ -53,8 +55,7 @@ def test_parse_minimal_config():
 def test_serialize_parse_round_trip():
     cfg = parse_config(TINY)
     assert parse_config(serialize_config(cfg)) == cfg
-    full = replace(cfg, noise_modes=4, quadrature=64, n_sweep=(6, 12),
-                   burn_in=5)
+    full = replace(cfg, n_sweep=(6, 12), burn_in=5)
     assert parse_config(serialize_config(full)) == full
 
 
@@ -124,13 +125,13 @@ def test_errors_are_collected_not_first_only():
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("scheme.noise_modes = 0", "scheme.noise_modes"),
     ("scheme.newton_tol = 0", "scheme.newton_tol"),
     ("scheme.newton_tol = nan", "scheme.newton_tol"),
     ("scheme.newton_tol = inf", "scheme.newton_tol"),
     ("scheme.newton_max_iter = 0", "scheme.newton_max_iter"),
-    # Q = 50 clears the N = 10 floor but not the N = 20 one.
-    ("scheme.quadrature = 50\nscheme.n_sweep = 10, 20", "scheme.quadrature for N = 20"),
+    # N fixes the noise modes and the quadrature; neither is a key.
+    ("scheme.noise_modes = 10", "unknown key"),
+    ("scheme.quadrature = 64", "unknown key"),
 ])
 def test_bad_scheme_value_rejected_before_any_run(tmp_path, capsys, extra, message):
     out = tmp_path / "out"
@@ -356,6 +357,16 @@ def test_cmd_convolution_sweep(tmp_path):
     assert set(summary["uniformity"]["n_ratio"]) == {"beta=0", "beta=0.40000000000000002"}
 
 
+def test_cmd_convolution_names_its_initial(tmp_path):
+    # convolution runs the first listed initial datum and says which
+    text = TINY.replace("sine, mix_minus", "mix_minus, sine")
+    out = tmp_path / "out"
+    assert main(["convolution", "--config", write_cfg(tmp_path, text),
+                 "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["initial"] == "mix_minus"
+
+
 def test_cmd_simulate_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--config", write_cfg(tmp_path), "--output", str(out)])
@@ -389,6 +400,16 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert "all suites passed" in out
     assert "FAIL" not in out
+
+
+def test_readme_key_table_lists_every_schema_key():
+    # The key table runs from its "| key |" header to the first blank line;
+    # a combined row such as `run.steps` / `run.paths` counts each key.
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key |", 1)[1].split("\n\n", 1)[0]
+    documented = {key for line in table.splitlines()[2:]
+                  for key in re.findall(r"`(\w+\.\w+)`", line.split("|")[1])}
+    assert documented == set(_SCHEMA)
 
 
 def test_default_config_is_valid():

@@ -94,6 +94,12 @@ def test_config_validation():
         linear_cfg(n_paths=0)
 
 
+def test_ensemble_rejects_inadmissible_step():
+    # eps = 0.1 gives K1 = 100, so (K1 - lambda_1) tau > 1 at tau = 0.05
+    with pytest.raises(ValueError, match="monotone"):
+        run_ensemble(linear_cfg(model=allen_cahn_model(0.1)))
+
+
 def test_deterministic_ensemble_matches_direct_computation():
     # g = 0, f = 0: time average of ||x||^2 equals the resolvent power sums
     m = zero_model()

@@ -13,7 +13,6 @@ from spde_ergo.model import (
     validate_step_constraint,
     zero_model,
 )
-from spde_ergo.scheme import SchemeParams
 
 EPS = 0.5
 LAM1 = math.pi**2
@@ -26,17 +25,17 @@ def ac_model():
 
 def drift(c, model, q):
     """P_N F(c) for one coefficient vector: a one-row GalerkinOperators call."""
-    return GalerkinOperators(model, c.size, c.size, q).drift(c[None])[0]
+    return GalerkinOperators(model, c.size, q).drift(c[None])[0]
 
 
 def jacobian(c, model, q):
-    return GalerkinOperators(model, c.size, c.size, q).jacobian(c[None])[0]
+    return GalerkinOperators(model, c.size, q).jacobian(c[None])[0]
 
 
-def noise_matrix(c, model, noise_modes, q):
+def noise_matrix(c, model, q):
     """M[n, m] = <e_n, g(x) e_m>: column m is the increment of unit noise e_m."""
-    ops = GalerkinOperators(model, c.size, noise_modes, q)
-    return ops.noise(np.tile(c, (noise_modes, 1)), np.eye(noise_modes)).T
+    ops = GalerkinOperators(model, c.size, q)
+    return ops.noise(np.tile(c, (c.size, 1)), np.eye(c.size)).T
 
 
 def test_allen_cahn_drift_values(ac_model):
@@ -141,9 +140,8 @@ def test_nemytskii_drift_single_mode_cubic(ac_model, a):
 
 
 def test_nemytskii_drift_quadrature_floor_enforced(ac_model):
-    with pytest.raises(ValueError, match="dealiasing floor 16"):
-        # the drift floor is (3+1)*4 = 16
-        SchemeParams(4, 0.05, quadrature=15).resolved_quadrature(ac_model)
+    # the drift floor (3+1)*4 = 16 is above the noise floor 2*4 + 1 = 9
+    assert default_quadrature(4, ac_model.constants) == 16
 
 
 def test_nemytskii_drift_exact_at_floor(ac_model):
@@ -192,34 +190,32 @@ def test_jacobian_symmetric_and_matches_finite_differences(ac_model):
 
 
 def test_noise_matrix_constant_g_at_rest(ac_model):
-    # x = 0 with the paper diffusion: g(0) = 2, so M = 2 I on shared modes
-    mat = noise_matrix(np.zeros(4), ac_model, 6, 16)
-    expected = np.zeros((4, 6))
-    expected[:4, :4] = 2.0 * np.eye(4)
-    np.testing.assert_allclose(mat, expected, atol=1e-12)
+    # x = 0 with the paper diffusion: g(0) = 2, so M = 2 I
+    mat = noise_matrix(np.zeros(4), ac_model, 16)
+    np.testing.assert_allclose(mat, 2.0 * np.eye(4), atol=1e-12)
 
 
 def test_noise_matrix_zero_g():
-    mat = noise_matrix(np.ones(3), zero_model(), 3, 8)
+    mat = noise_matrix(np.ones(3), zero_model(), 8)
     np.testing.assert_allclose(mat, 0.0, atol=1e-15)
 
 
 def test_noise_matrix_symmetry(ac_model):
     rng = np.random.default_rng(2)
     c = rng.standard_normal(5)
-    mat = noise_matrix(c, ac_model, 5, 32)
+    mat = noise_matrix(c, ac_model, 32)
     np.testing.assert_allclose(mat, mat.T, atol=1e-12)
 
 
 def test_noise_matrix_floor_enforced(ac_model):
-    with pytest.raises(ValueError, match="noise quadrature floor 10"):
-        GalerkinOperators(ac_model, 4, 6, 9)
+    with pytest.raises(ValueError, match="noise quadrature floor 8"):
+        GalerkinOperators(ac_model, 4, 7)
 
 
 def test_monotonicity_transfer(ac_model):
     # <x - y, P_N F(x) - P_N F(y)> <= K1 ||x - y||^2 at the Galerkin level
     rng = np.random.default_rng(21)
-    n, q = 6, default_quadrature(6, 6, ac_model.constants)
+    n, q = 6, default_quadrature(6, ac_model.constants)
     k1 = ac_model.constants.K1
     for _ in range(1000):
         x = rng.standard_normal(n)
@@ -231,7 +227,7 @@ def test_monotonicity_transfer(ac_model):
 
 def test_coercivity_transfer(ac_model):
     rng = np.random.default_rng(22)
-    n, q = 6, default_quadrature(6, 6, ac_model.constants)
+    n, q = 6, default_quadrature(6, ac_model.constants)
     k = ac_model.constants
     for _ in range(1000):
         x = rng.standard_normal(n)

@@ -95,7 +95,7 @@ def test_independence_across_paths():
 
 def multiplicative_increment(x, model, dbeta, q):
     """P_N G(x) dW = M(x) dbeta for one step: a one-row GalerkinOperators call."""
-    ops = GalerkinOperators(model, x.size, dbeta.shape[-1], q)
+    ops = GalerkinOperators(model, x.size, q)
     return ops.noise(x[None], dbeta[None])[0]
 
 
@@ -128,7 +128,7 @@ def test_multiplicative_increment_linear():
 
 def test_multiplicative_increment_rejects_bad_shape():
     # increments of 2 noise modes cannot drive an operator built for 3
-    ops = GalerkinOperators(allen_cahn_model(0.5), 3, 3, 12)
+    ops = GalerkinOperators(allen_cahn_model(0.5), 3, 12)
     with pytest.raises(ValueError):
         ops.noise(np.ones((1, 3)), np.ones((2, 2)))
 
@@ -140,7 +140,7 @@ def test_conditional_covariance_matches_closed_form():
     x = rng.standard_normal(4) * 0.5
     q = 16
     # column k of M is the increment of the unit noise vector e_k
-    mat = GalerkinOperators(m, 4, 4, q).noise(np.tile(x, (4, 1)), np.eye(4)).T
+    mat = GalerkinOperators(m, 4, q).noise(np.tile(x, (4, 1)), np.eye(4)).T
     target = TAU * mat @ mat.T
     n_draws = 10**4
     draws = rng.standard_normal((n_draws, 4)) * math.sqrt(TAU)

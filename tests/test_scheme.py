@@ -8,6 +8,7 @@ from spde_ergo.model import (
     GalerkinOperators,
     allen_cahn_model,
     constant_diffusion,
+    default_quadrature,
     heat_model,
     zero_model,
 )
@@ -28,8 +29,8 @@ AC = allen_cahn_model(0.5)
 
 
 def drift_ops(params, model):
-    return GalerkinOperators(model, params.n_modes, params.n_modes,
-                             params.resolved_quadrature(model))
+    return GalerkinOperators(model, params.n_modes,
+                             default_quadrature(params.n_modes, model.constants))
 
 
 def hat_f(x, params, model):
