@@ -333,6 +333,13 @@ def _write_summary(out_dir: Path, cfg: RunConfig, t0: float, **sections) -> None
         fh.write("\n")
 
 
+def _newton_summary(results) -> dict:
+    """Worst Newton iteration count and final residual over ensemble results."""
+    results = list(results)
+    return {"max_iters": max(r.max_newton_iters for r in results),
+            "max_residual": max(r.max_residual for r in results)}
+
+
 def _series_rows(series: MomentSeries, tau: float):
     """(step, t, value, stderr) text of each entry of a series."""
     for step, value, stderr in zip(series.steps, series.values, series.stderrs):
@@ -362,7 +369,8 @@ def cmd_ergodic(cfg: RunConfig, out_dir: Path) -> int:
         verdict = agreement_check(results)
         agreement = {**asdict(verdict), "all_passed": verdict.all_passed}
         exit_code = 0 if verdict.all_passed else 3
-    _write_summary(out_dir, cfg, t0, finals=finals, agreement=agreement)
+    _write_summary(out_dir, cfg, t0, finals=finals, agreement=agreement,
+                   newton=_newton_summary(results.values()))
     return exit_code
 
 
@@ -377,9 +385,10 @@ def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     model = cfg.build_model()
     gamma = lyapunov_rate(model, cfg.tau)
-    reports = {}
+    reports, results = {}, []
     for initial in cfg.initials:
         res = run_ensemble(cfg.ensemble_config(initial, model))
+        results.append(res)
         _write_csv(out_dir / f"moments_{initial}.csv",
                    "series,N,beta,step,t,mean,stderr",
                    _moment_rows(res.x_moment, "x_norm_sq", cfg.n_modes, 0.0,
@@ -388,7 +397,8 @@ def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
         report = lyapunov_series(res.x_moment, gamma, x0_ns, cfg.tau,
                                  burn_in_steps=cfg.burn_in)
         reports[initial] = {**asdict(report), "passed": report.passed}
-    _write_summary(out_dir, cfg, t0, gamma=gamma, reports=reports)
+    _write_summary(out_dir, cfg, t0, gamma=gamma, reports=reports,
+                   newton=_newton_summary(results))
     return 0 if all(r["passed"] for r in reports.values()) else 3
 
 
@@ -398,10 +408,11 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
     model = cfg.build_model()
     sweep = cfg.n_sweep if cfg.n_sweep else (cfg.n_modes,)
     initial = cfg.initials[0]
-    rows = []
+    rows, results = [], []
     series_by_key = {}
     for n in sorted(sweep):
         res = run_ensemble(cfg.ensemble_config(initial, model, n_modes=n))
+        results.append(res)
         for beta in cfg.moment_betas:
             series = res.w_moments[beta]
             series_by_key[(n, beta)] = series
@@ -416,7 +427,7 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
                         for (n, b), v in report.trend_ratio_by_key.items()},
         "n_ratio": {f"beta={_fmt(b)}": v
                     for b, v in report.n_ratio_by_beta.items()},
-    })
+    }, newton=_newton_summary(results))
     return 0
 
 

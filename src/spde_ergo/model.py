@@ -227,11 +227,14 @@ class GalerkinOperators:
         self.n = n_modes
         self.basis = basis_matrix(n_modes, q_nodes)
         self.weight = 1.0 / (q_nodes + 1)
-        # (Q x N^2) table of e_n(xi_q) e_m(xi_q) / (Q+1): assembling every
-        # row's Jacobian is then a single matrix product.
+        # ((Q+1) x N^2) table: row q < Q is e_n(xi_q) e_m(xi_q) / (Q+1), so
+        # assembling every row's Jacobian is a single matrix product. The
+        # last row is zero here; the scheme stores vec(diag(1 + tau Lambda))
+        # in it and assembles its Newton matrix with the same product.
         b = self.basis
-        self._products = ((b[:, :, None] * b[:, None, :]).reshape(q_nodes, -1)
-                          * self.weight)
+        self._products = np.zeros((q_nodes + 1, n_modes * n_modes))
+        np.multiply((b[:, :, None] * b[:, None, :]).reshape(q_nodes, -1),
+                    self.weight, out=self._products[:-1])
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Rows of P_N F(x)."""
@@ -240,7 +243,7 @@ class GalerkinOperators:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """(P, N, N) stack of the symmetric Jacobians of drift at each row."""
         fp = self.model.drift_deriv(x @ self.basis.T)
-        return (fp @ self._products).reshape(len(x), self.n, self.n)
+        return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
     def noise(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
         """Rows of P_N G(x) dW for the (P, N) noise-mode increments dbeta."""

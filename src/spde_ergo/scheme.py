@@ -105,15 +105,21 @@ class _Workspace(GalerkinOperators):
         self.res_factors = resolvent_factors(self.n, self.tau)
         self.tol = params.newton_tol
         self.max_iter = params.newton_max_iter
+        # The spare last row of the product table holds vec(diag(1 + tau
+        # Lambda)), so newton_matrix is one product with [-tau f'(u), 1].
+        self._products[-1, ::self.n + 1] = self.one_plus
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.one_plus * x - self.tau * self.drift(x) - rhs
 
     def newton_matrix(self, x: np.ndarray) -> np.ndarray:
-        a = self.jacobian(x)
-        a *= -self.tau
-        a.reshape(len(x), -1)[:, ::self.n + 1] += self.one_plus
-        return a
+        """(P, N, N) stack of diag(1 + tau Lambda) - tau J(x) at each row."""
+        q = len(self._products) - 1
+        coef = np.empty((len(x), q + 1))
+        np.multiply(self.model.drift_deriv(x @ self.basis.T), -self.tau,
+                    out=coef[:, :q])
+        coef[:, q] = 1.0
+        return (coef @ self._products).reshape(len(x), self.n, self.n)
 
     def newton(self, rhs: np.ndarray, guess: np.ndarray, step: int | None = None,
                first_path: int | None = None) -> tuple[np.ndarray, int, float]:
@@ -128,9 +134,18 @@ class _Workspace(GalerkinOperators):
             return NonConvergenceError(float(residuals[row]), iterations,
                                        step=step, path=path)
 
-        x = guess.copy()
+        # Start each row from its guess or from the linearly implicit Euler
+        # predictor, whichever has the smaller residual. The predictor alone
+        # is unsafe: an explicit drift step from a large state overshoots.
+        tau_drift = self.tau * self.drift(guess)
+        x = self.res_factors * (rhs + tau_drift)
         res = self.residual(x, rhs)
         rnorm = _row_norms(res)
+        res_guess = self.one_plus * guess - tau_drift - rhs
+        rn_guess = _row_norms(res_guess)
+        # A NaN predictor residual compares false, so its row keeps the guess.
+        keep = ~(rnorm < rn_guess)
+        x[keep], res[keep], rnorm[keep] = guess[keep], res_guess[keep], rn_guess[keep]
         at_floor = np.zeros(len(x), dtype=bool)
         iters = 0
         while True:

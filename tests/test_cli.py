@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from spde_ergo import run_ensemble
 from spde_ergo.cli import (
     PAPER_PRESET,
     SEED_ENV_VAR,
@@ -328,6 +329,27 @@ def test_outputs_match_golden_values(tmp_path):
                 continue
             tol = 1e-13 if name.endswith("residuals.csv") else 0.0
             assert float(g) == pytest.approx(w_num, rel=1e-10, abs=tol), name
+
+
+@pytest.mark.parametrize("command", ["ergodic", "lyapunov", "convolution"])
+def test_summary_reports_worst_newton_over_ensembles(tmp_path, command):
+    text = TINY + "scheme.n_sweep = 6, 12\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--output", str(out)]) == 0
+    cfg = parse_config(text)
+    model = cfg.build_model()
+    if command == "convolution":
+        ensembles = [cfg.ensemble_config("sine", model, n_modes=n) for n in (6, 12)]
+    else:
+        ensembles = [cfg.ensemble_config(i, model) for i in cfg.initials]
+    results = [run_ensemble(e) for e in ensembles]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["newton"] == {
+        "max_iters": max(r.max_newton_iters for r in results),
+        "max_residual": max(r.max_residual for r in results)}
+    assert 1 <= summary["newton"]["max_iters"] < cfg.newton_max_iter
+    assert 0 < summary["newton"]["max_residual"] <= cfg.newton_tol
 
 
 def test_cmd_lyapunov_outputs(tmp_path):
