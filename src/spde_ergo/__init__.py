@@ -41,6 +41,7 @@ from .ergodic import (
     EnsembleResult,
     EnsembleError,
     run_ensemble,
+    run_ensembles,
     lyapunov_rate,
     lyapunov_series,
     convolution_moment_report,

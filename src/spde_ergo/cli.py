@@ -34,7 +34,8 @@ from .ergodic import (
     initial_datum,
     lyapunov_rate,
     lyapunov_series,
-    run_ensemble,
+    run_ensemble,  # unused here; perfbench/tracing.py wraps cli.run_ensemble
+    run_ensembles,
 )
 from .model import (
     CoefficientModel,
@@ -351,8 +352,8 @@ def cmd_ergodic(cfg: RunConfig, out_dir: Path) -> int:
     """Run the time-average experiment for every configured initial datum."""
     t0 = time.monotonic()
     model = cfg.build_model()
-    results = {initial: run_ensemble(cfg.ensemble_config(initial, model))
-               for initial in cfg.initials}
+    results = dict(zip(cfg.initials, run_ensembles(
+        [cfg.ensemble_config(initial, model) for initial in cfg.initials])))
     rows = [(step, t, tag, initial, value, stderr)
             for initial, res in results.items()
             for tag, series in res.time_averages.items()
@@ -385,10 +386,10 @@ def cmd_lyapunov(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     model = cfg.build_model()
     gamma = lyapunov_rate(model, cfg.tau)
-    reports, results = {}, []
-    for initial in cfg.initials:
-        res = run_ensemble(cfg.ensemble_config(initial, model))
-        results.append(res)
+    results = run_ensembles(
+        [cfg.ensemble_config(initial, model) for initial in cfg.initials])
+    reports = {}
+    for initial, res in zip(cfg.initials, results):
         _write_csv(out_dir / f"moments_{initial}.csv",
                    "series,N,beta,step,t,mean,stderr",
                    _moment_rows(res.x_moment, "x_norm_sq", cfg.n_modes, 0.0,
@@ -406,13 +407,12 @@ def cmd_convolution(cfg: RunConfig, out_dir: Path) -> int:
     """Sobolev moments of the stochastic convolution, swept over N."""
     t0 = time.monotonic()
     model = cfg.build_model()
-    sweep = cfg.n_sweep if cfg.n_sweep else (cfg.n_modes,)
+    sweep = sorted(cfg.n_sweep if cfg.n_sweep else (cfg.n_modes,))
     initial = cfg.initials[0]
-    rows, results = [], []
-    series_by_key = {}
-    for n in sorted(sweep):
-        res = run_ensemble(cfg.ensemble_config(initial, model, n_modes=n))
-        results.append(res)
+    results = run_ensembles(
+        [cfg.ensemble_config(initial, model, n_modes=n) for n in sweep])
+    rows, series_by_key = [], {}
+    for n, res in zip(sweep, results):
         for beta in cfg.moment_betas:
             series = res.w_moments[beta]
             series_by_key[(n, beta)] = series

@@ -9,14 +9,23 @@ Three diagnostics are accumulated in-stream over independent paths:
 * fractional Sobolev moments E||W_j||_beta^2 of the discrete stochastic
   convolution, swept over N for the uniformity check.
 
-Paths are reduced in ascending path-index order, so results are
-deterministic for a fixed (master_seed, config).
+Each ensemble's P paths run as min(P, 2) fixed contiguous halves,
+[0, P//2) and [P//2, P), a layout that depends on the config only. Each
+half keeps per-step (mean, M2) rows and per-path running sums; the halves
+merge in ascending path order by the pairwise update of Chan, Golub &
+LeVeque (1979). run_ensembles spreads the halves of all its ensembles over
+W = min(cores in the CPU affinity mask, halves) processes, forking W - 1
+workers (none with one core, e.g. under ``taskset -c 0``, or off Linux).
+Results are a pure function of (master_seed, config) and do not depend on W.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +48,7 @@ __all__ = [
     "EnsembleResult",
     "EnsembleError",
     "run_ensemble",
+    "run_ensembles",
     "LYAPUNOV_EPSILON_AUX",
     "lyapunov_rate",
     "LyapunovReport",
@@ -162,6 +172,9 @@ class EnsembleError(RuntimeError):
         self.label, self.cause = label, cause
         super().__init__(f"ensemble run failed ({label}: {cause})")
 
+    def __reduce__(self):
+        return type(self), (self.label, self.cause)
+
 
 @dataclass
 class EnsembleResult:
@@ -176,14 +189,46 @@ class EnsembleResult:
     per_path_finals: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
-    """Run n_paths independent DIEG paths and reduce their diagnostics.
+# Every ensemble's P paths run as min(P, N_HALVES) contiguous halves,
+# [0, P//2) and [P//2, P), whatever the number of worker processes.
+N_HALVES = 2
 
-    Streams derive from (master_seed, path index); the reduction runs in
-    ascending path order, so the result is a pure function of cfg.
-    """
+
+@dataclass
+class _HalfStats:
+    """Statistics of one half: per-step ensemble mean and centred sum of
+    squares of each statistic row, per-path running-average sums, Newton maxima."""
+
+    mean: np.ndarray
+    m2: np.ndarray
+    phi_cum: np.ndarray
+    max_iters: int
+    max_res: float
+
+
+@dataclass(frozen=True)
+class _Half:
+    """Paths [first, stop) of the ensemble cfg, started from x0."""
+
+    cfg: EnsembleConfig
+    x0: np.ndarray
+    first: int
+    stop: int
+
+    @property
+    def cost(self) -> int:
+        return (self.stop - self.first) * self.cfg.params.n_modes**3
+
+
+def _label(cfg: EnsembleConfig) -> str:
+    return f"initial {cfg.initial!r}, N = {cfg.params.n_modes}"
+
+
+def _run_half(half: _Half) -> _HalfStats | NonConvergenceError | SingularLinearSolveError:
+    """Run paths [first, stop) of an ensemble; a Newton failure is returned."""
+    cfg = half.cfg
     params, model = cfg.params, cfg.model
-    n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
+    n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, half.stop - half.first
     lam = eigenvalues(params.n_modes)
     lam_pows = [lam**beta for beta in cfg.moment_betas]
     phis = [_FUNCTIONALS[tag] for tag in cfg.functionals]
@@ -217,19 +262,35 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
 
     try:
         max_iters, max_res = run_paths_vectorized(
-            cfg.initial_coeffs(), n_steps, params, model,
-            cfg.master_seed, n_paths, observers=(observer,))
+            half.x0, n_steps, params, model, cfg.master_seed, n_paths,
+            observers=(observer,), first_path_index=half.first)
     except (NonConvergenceError, SingularLinearSolveError) as exc:
-        raise EnsembleError(f"initial {cfg.initial!r}, N = {params.n_modes}",
-                            exc) from exc
+        return exc
+    return _HalfStats(mean, m2, phi_cum, max_iters, max_res)
 
+
+def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
+    """One ensemble's result from its halves, merged in ascending path order
+    by the pairwise update of Chan, Golub & LeVeque (1979)."""
+    mean, m2, count = halves[0].mean, halves[0].m2, halves[0].phi_cum.shape[1]
+    for h in halves[1:]:
+        n_b = h.phi_cum.shape[1]
+        n = count + n_b
+        delta = h.mean - mean
+        mean = mean + delta * (n_b / n)
+        m2 = m2 + h.m2 + delta * delta * (count * n_b / n)
+        count = n
+    phi_cum = np.concatenate([h.phi_cum for h in halves], axis=1)
+
+    n_steps, burn_in = cfg.n_steps, cfg.burn_in
     steps = np.arange(n_steps + 1)
     # A single path has m2 = 0 and reads a zero stderr.
-    stderr = np.sqrt(m2 / (max(n_paths - 1, 1) * n_paths))
+    stderr = np.sqrt(m2 / (max(count - 1, 1) * count))
 
     def series(row: int, start: int = 0) -> MomentSeries:
         return MomentSeries(steps[start:], mean[row, start:], stderr[row, start:])
 
+    first_avg = 1 + len(cfg.moment_betas)
     return EnsembleResult(
         config=cfg,
         time_averages={tag: series(first_avg + i, burn_in + 1)
@@ -237,11 +298,144 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
         x_moment=series(0),
         w_moments={beta: series(r)
                    for r, beta in enumerate(cfg.moment_betas, start=1)},
-        max_newton_iters=max_iters,
-        max_residual=max_res,
+        max_newton_iters=max(h.max_iters for h in halves),
+        max_residual=max(h.max_res for h in halves),
         per_path_finals=dict(zip(cfg.functionals,
                                  phi_cum / (n_steps - burn_in))),
     )
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on: its CPU affinity mask; 1 off Linux."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+# The halves a forked worker runs; set by _adopt in the worker only.
+_WORKER_HALVES: list[_Half] = []
+
+
+def _adopt(halves: list[_Half]) -> None:
+    global _WORKER_HALVES
+    _WORKER_HALVES = halves
+
+
+def _run_worker_share(share: list[int]) -> list:
+    return [_run_half(_WORKER_HALVES[h]) for h in share]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS, the BLAS of numpy's wheels, at one thread meanwhile.
+
+    W processes on W cores each running OpenBLAS's own threads oversubscribe
+    the cores: on a 2-core host, two processes at the paper shape ran about
+    twice as slow as one. Forked workers inherit the setting. Other BLAS
+    libraries are left as they are.
+    """
+    import ctypes
+
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    # The names in numpy's wheels, then in a system OpenBLAS.
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_threads = getattr(lib, name.format("set"), None)
+        if get is not None and set_threads is not None:
+            break
+    else:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    old = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
+    """Run share 0 here and every other share in a forked worker process.
+
+    Fork, not spawn: the configs reach the workers through it, because
+    models hold lambdas and do not pickle; only share indices, statistics
+    and errors are pickled. This process runs no other thread at the fork:
+    OpenBLAS's fork handler stops its threads first, and the pool starts its
+    manager thread after forking its workers.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _one_blas_thread(), ProcessPoolExecutor(
+            len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt, initargs=(halves,)) as pool:
+        futures = [pool.submit(_run_worker_share, share) for share in shares[1:]]
+        out = {h: _run_half(halves[h]) for h in shares[0]}
+        for share, future in zip(shares[1:], futures):
+            try:
+                out.update(zip(share, future.result()))
+            except BrokenProcessPool as exc:
+                raise EnsembleError(_label(halves[min(share)].cfg), exc) from exc
+    return out
+
+
+def _failure_order(exc: Exception) -> tuple[float, float]:
+    # A singular system names no (step, path) and sorts last.
+    if isinstance(exc, NonConvergenceError):
+        return exc.step, exc.path
+    return math.inf, math.inf
+
+
+def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
+    """Run independent ensembles of DIEG paths and reduce their diagnostics.
+
+    Each ensemble runs as N_HALVES fixed halves of its paths. The halves,
+    dearest first (paths x N^3), are dealt round-robin to
+    W = min(cores in the affinity mask, halves) processes: this one and
+    W - 1 forked workers. Each ensemble's halves merge in ascending path
+    order, so the results are a pure function of the configs, whatever W.
+    A failure raises EnsembleError for the first failing ensemble in config
+    order, caused by its Newton failure at the smallest (step, path); a
+    worker that dies raises it for the first ensemble of its share.
+    """
+    halves, spans = [], []
+    for cfg in cfgs:
+        cfg.params.validate(cfg.model)  # a bad config raises before any fork
+        x0 = cfg.initial_coeffs()
+        k = min(cfg.n_paths, N_HALVES)
+        cuts = [j * cfg.n_paths // k for j in range(k + 1)]
+        spans.append(range(len(halves), len(halves) + k))
+        halves += [_Half(cfg, x0, a, b) for a, b in zip(cuts, cuts[1:])]
+    order = sorted(range(len(halves)), key=lambda h: -halves[h].cost)
+    n_workers = max(1, min(_cpu_count(), len(halves)))
+    shares = [order[s::n_workers] for s in range(n_workers)]
+    out = ({h: _run_half(halves[h]) for h in shares[0]} if n_workers == 1
+           else _run_forked(halves, shares))
+
+    results = []
+    for cfg, span in zip(cfgs, spans):
+        stats = [out[h] for h in span]
+        errors = [s for s in stats if isinstance(s, Exception)]
+        if errors:
+            exc = min(errors, key=_failure_order)
+            raise EnsembleError(_label(cfg), exc) from exc
+        results.append(_merge(cfg, stats))
+    return results
+
+
+def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
+    """Run n_paths independent DIEG paths and reduce their diagnostics.
+
+    The one-config call of run_ensembles: streams derive from
+    (master_seed, path index) and the halves merge in ascending path order,
+    so the result is a pure function of cfg.
+    """
+    return run_ensembles([cfg])[0]
 
 
 # Slack eps_aux in the second-moment contraction estimate behind lyapunov_rate.

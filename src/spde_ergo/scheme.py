@@ -56,6 +56,9 @@ class NonConvergenceError(RuntimeError):
             f"Newton failed{at}: residual {residual:.3e} after {iterations} iterations"
         )
 
+    def __reduce__(self):
+        return type(self), (self.residual, self.iterations, self.step, self.path)
+
 
 class SingularLinearSolveError(RuntimeError):
     """Newton linear system singular; usually a violated step constraint."""
