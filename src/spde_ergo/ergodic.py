@@ -215,10 +215,6 @@ class _Half:
     first: int
     stop: int
 
-    @property
-    def cost(self) -> int:
-        return (self.stop - self.first) * self.cfg.params.n_modes**3
-
 
 def _label(cfg: EnsembleConfig) -> str:
     return f"initial {cfg.initial!r}, N = {cfg.params.n_modes}"
@@ -254,11 +250,15 @@ def _run_half(half: _Half) -> _HalfStats | NonConvergenceError | SingularLinearS
                 cum += phi(block[0])
             block[first_avg:] = phi_cum / (step - burn_in)
             n_rows = len(block)
-        for r in range(n_rows):
-            v = block[r]
-            mu = mean[r, step] = v.mean()
-            d = v - mu
-            m2[r, step] = d @ d
+        rows = block[:n_rows]
+        mu = rows.mean(axis=1)
+        # The rounded mean of equal values can miss their value, and the
+        # merge would then read a spread where all paths agree; clamped into
+        # [min, max] it is exact.
+        np.clip(mu, rows.min(axis=1), rows.max(axis=1), out=mu)
+        d = rows - mu[:, None]
+        mean[:n_rows, step] = mu
+        m2[:n_rows, step] = np.einsum("ij,ij->i", d, d)
 
     try:
         max_iters, max_res = run_paths_vectorized(
@@ -326,15 +326,9 @@ def _run_worker_share(share: list[int]) -> list:
     return [_run_half(_WORKER_HALVES[h]) for h in share]
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS, the BLAS of numpy's wheels, at one thread meanwhile.
-
-    W processes on W cores each running OpenBLAS's own threads oversubscribe
-    the cores: on a 2-core host, two processes at the paper shape ran about
-    twice as slow as one. Forked workers inherit the setting. Other BLAS
-    libraries are left as they are.
-    """
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count calls as numpy's own library links
+    them, or None if numpy's BLAS is another library."""
     import ctypes
 
     core = getattr(np, "_core", None) or np.core
@@ -344,12 +338,28 @@ def _one_blas_thread():
         get = getattr(lib, name.format("get"), None)
         set_threads = getattr(lib, name.format("set"), None)
         if get is not None and set_threads is not None:
-            break
-    else:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS, the BLAS of numpy's wheels, at one thread meanwhile.
+
+    W processes on W cores each running OpenBLAS's own threads oversubscribe
+    the cores: on a 2-core host at the default BLAS thread count, two
+    processes at the paper shape ran about twice as slow as one (see
+    BENCH_sharding.json). Forked workers inherit the setting, and it holds
+    for every W, so every W computes under the same BLAS setting. Other
+    BLAS libraries are left as they are.
+    """
+    calls = _openblas_threads()
+    if calls is None:
         yield
         return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get, set_threads = calls
     old = get()
     set_threads(1)
     try:
@@ -371,7 +381,7 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with _one_blas_thread(), ProcessPoolExecutor(
+    with ProcessPoolExecutor(
             len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
             initializer=_adopt, initargs=(halves,)) as pool:
         futures = [pool.submit(_run_worker_share, share) for share in shares[1:]]
@@ -384,24 +394,18 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
     return out
 
 
-def _failure_order(exc: Exception) -> tuple[float, float]:
-    # A singular system names no (step, path) and sorts last.
-    if isinstance(exc, NonConvergenceError):
-        return exc.step, exc.path
-    return math.inf, math.inf
-
-
 def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """Run independent ensembles of DIEG paths and reduce their diagnostics.
 
     Each ensemble runs as N_HALVES fixed halves of its paths. The halves,
-    dearest first (paths x N^3), are dealt round-robin to
+    in config order, are dealt round-robin to
     W = min(cores in the affinity mask, halves) processes: this one and
-    W - 1 forked workers. Each ensemble's halves merge in ascending path
-    order, so the results are a pure function of the configs, whatever W.
-    A failure raises EnsembleError for the first failing ensemble in config
-    order, caused by its Newton failure at the smallest (step, path); a
-    worker that dies raises it for the first ensemble of its share.
+    W - 1 forked workers, all with OpenBLAS at one thread. Each ensemble's
+    halves merge in ascending path order, so the results are a pure
+    function of the configs, whatever W. A failure raises EnsembleError for
+    the first failing ensemble in config order, caused by its Newton
+    failure at the smallest (step, path); a worker that dies raises it for
+    the first ensemble of its share.
     """
     halves, spans = [], []
     for cfg in cfgs:
@@ -411,18 +415,18 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
         cuts = [j * cfg.n_paths // k for j in range(k + 1)]
         spans.append(range(len(halves), len(halves) + k))
         halves += [_Half(cfg, x0, a, b) for a, b in zip(cuts, cuts[1:])]
-    order = sorted(range(len(halves)), key=lambda h: -halves[h].cost)
     n_workers = max(1, min(_cpu_count(), len(halves)))
-    shares = [order[s::n_workers] for s in range(n_workers)]
-    out = ({h: _run_half(halves[h]) for h in shares[0]} if n_workers == 1
-           else _run_forked(halves, shares))
+    shares = [list(range(s, len(halves), n_workers)) for s in range(n_workers)]
+    with _one_blas_thread():
+        out = ({h: _run_half(halves[h]) for h in shares[0]} if n_workers == 1
+               else _run_forked(halves, shares))
 
     results = []
     for cfg, span in zip(cfgs, spans):
         stats = [out[h] for h in span]
         errors = [s for s in stats if isinstance(s, Exception)]
         if errors:
-            exc = min(errors, key=_failure_order)
+            exc = min(errors, key=lambda e: (e.step, e.path))
             raise EnsembleError(_label(cfg), exc) from exc
         results.append(_merge(cfg, stats))
     return results

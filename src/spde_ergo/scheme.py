@@ -48,13 +48,8 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
         self.step = step
         self.path = path
-        where = [f"path {path}"] if path is not None else []
-        if step is not None:
-            where.append(f"step {step}")
-        at = f" at {', '.join(where)}" if where else ""
-        super().__init__(
-            f"Newton failed{at}: residual {residual:.3e} after {iterations} iterations"
-        )
+        super().__init__(f"Newton failed{_at(step, path)}: residual {residual:.3e}"
+                         f" after {iterations} iterations")
 
     def __reduce__(self):
         return type(self), (self.residual, self.iterations, self.step, self.path)
@@ -62,6 +57,23 @@ class NonConvergenceError(RuntimeError):
 
 class SingularLinearSolveError(RuntimeError):
     """Newton linear system singular; usually a violated step constraint."""
+
+    def __init__(self, step: int | None = None, path: int | None = None):
+        self.step = step
+        self.path = path
+        super().__init__(f"singular Newton system{_at(step, path)};"
+                         " check (K1 - lambda_1) tau < 1")
+
+    def __reduce__(self):
+        return type(self), (self.step, self.path)
+
+
+def _at(step: int | None, path: int | None) -> str:
+    """' at path p, step s' for the parts that are known."""
+    where = [f"path {path}"] if path is not None else []
+    if step is not None:
+        where.append(f"step {step}")
+    return f" at {', '.join(where)}" if where else ""
 
 
 @dataclass(frozen=True)
@@ -131,9 +143,12 @@ class _Workspace(GalerkinOperators):
         Returns (x, iterations, largest final residual norm). A failure
         names the first failing row as path first_path + row.
         """
-        def failure(rows, residuals, iterations):
+        def first(rows):
             row = int(np.flatnonzero(rows)[0])
-            path = None if first_path is None else first_path + row
+            return row, None if first_path is None else first_path + row
+
+        def failure(rows, residuals, iterations):
+            row, path = first(rows)
             return NonConvergenceError(float(residuals[row]), iterations,
                                        step=step, path=path)
 
@@ -169,9 +184,12 @@ class _Workspace(GalerkinOperators):
                 delta = np.linalg.solve(self.newton_matrix(x_act),
                                         -res_act[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise SingularLinearSolveError(
-                    "singular Newton system; check (K1 - lambda_1) tau < 1"
-                ) from exc
+                # slogdet flags the same exact zero pivot of the LU as solve.
+                sign, _ = np.linalg.slogdet(self.newton_matrix(x_act))
+                singular = np.zeros_like(active)
+                singular[active] = sign == 0
+                _, path = first(singular if singular.any() else active)
+                raise SingularLinearSolveError(step, path) from exc
             # Damped update: halve each row's step until its residual decreases.
             scale = np.ones(n_active)
             x_try = x_act + delta

@@ -103,15 +103,18 @@ def test_ensemble_rejects_inadmissible_step():
 def test_deterministic_ensemble_matches_direct_computation():
     # g = 0, f = 0: time average of ||x||^2 equals the resolvent power sums
     m = zero_model()
-    cfg = linear_cfg(model=m, n_paths=2, n_steps=50)
-    res = run_ensemble(cfg)
     factors = 1 / (1 + TAU * eigenvalues(10))
     x0 = initial_datum("sine", 10)
     direct = [float(np.sum((factors**j * x0) ** 2)) for j in range(1, 51)]
     running = np.cumsum(direct) / np.arange(1, 51)
-    np.testing.assert_allclose(res.time_averages["norm_sq"].values, running,
-                               atol=1e-12)
-    assert np.all(res.time_averages["norm_sq"].stderrs == 0.0)
+    # Five paths split into uneven halves of 2 and 3; all paths agree, so
+    # every stderr is exactly zero.
+    for n_paths in (2, 5):
+        res = run_ensemble(linear_cfg(model=m, n_paths=n_paths, n_steps=50))
+        np.testing.assert_allclose(res.time_averages["norm_sq"].values, running,
+                                   atol=1e-12)
+        assert np.all(res.time_averages["norm_sq"].stderrs == 0.0)
+        assert np.all(res.x_moment.stderrs == 0.0)
 
 
 def test_deterministic_series_strictly_decreasing():

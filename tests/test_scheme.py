@@ -17,6 +17,7 @@ from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import (
     NonConvergenceError,
     SchemeParams,
+    SingularLinearSolveError,
     _Workspace,
     implicit_solve,
     random_pde_residual,
@@ -435,6 +436,22 @@ def test_nan_residual_is_never_converged():
     (step, x), = seen
     assert step == 0
     np.testing.assert_array_equal(x, x0[1])
+
+
+def test_singular_newton_system_names_its_path(monkeypatch):
+    newton_matrix = _Workspace.newton_matrix
+
+    def singular_row_1(self, x):
+        mats = newton_matrix(self, x)
+        mats[1] = 0.0
+        return mats
+
+    monkeypatch.setattr(_Workspace, "newton_matrix", singular_row_1)
+    with pytest.raises(SingularLinearSolveError) as exc:
+        run_paths_vectorized(np.full((3, 10), 0.2), 5, PARAMS, AC, 1, 3,
+                             first_path_index=4)
+    assert (exc.value.step, exc.value.path) == (0, 5)
+    assert "singular Newton system at path 5, step 0" in str(exc.value)
 
 
 def test_coupled_pair_shares_increments():

@@ -83,6 +83,11 @@ def test_numerical_errors_survive_pickle():
     assert isinstance(back.cause, NonConvergenceError)
     assert (back.cause.step, back.cause.path) == (3, 7)
     assert str(back) == str(wrapped)
+    singular = SingularLinearSolveError(step=2, path=4)
+    back = pickle.loads(pickle.dumps(singular))
+    assert type(back) is SingularLinearSolveError
+    assert (back.step, back.path) == (2, 4)
+    assert str(back) == str(singular)
 
 
 @pytest.mark.parametrize("command", ["ergodic", "lyapunov", "convolution"])
@@ -148,14 +153,15 @@ def test_run_ensembles_equals_one_call_per_config():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_failure_in_config_order_at_smallest_step_and_path(monkeypatch, workers):
-    failures = {0: NonConvergenceError(1.0, 3, step=4, path=1),
-                1: NonConvergenceError(1.0, 3, step=2, path=5),
-                3: SingularLinearSolveError("singular")}
+    # Keyed by (initial, first path of the half); the halves are [0, 3), [3, 7).
+    failures = {("mix_plus", 0): NonConvergenceError(1.0, 3, step=4, path=1),
+                ("mix_plus", 3): NonConvergenceError(1.0, 3, step=2, path=5),
+                ("mix_minus", 0): NonConvergenceError(1.0, 3, step=10, path=1),
+                ("mix_minus", 3): SingularLinearSolveError(step=2, path=5)}
     run_half = ergodic._run_half
 
     def failing(half):
-        key = 2 * (half.cfg.initial == "mix_minus") + (half.first > 0)
-        return failures.get(key) or run_half(half)
+        return failures.get((half.cfg.initial, half.first)) or run_half(half)
 
     monkeypatch.setattr(ergodic, "_run_half", failing)
     monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
@@ -164,8 +170,39 @@ def test_first_failure_in_config_order_at_smallest_step_and_path(monkeypatch, wo
         run_ensembles(cfgs)
     assert exc.value.label == "initial 'mix_plus', N = 10"
     assert (exc.value.cause.step, exc.value.cause.path) == (2, 5)
-    with pytest.raises(EnsembleError, match="initial 'mix_minus', N = 10: singular"):
+    # The singular system at step 2 comes before the non-convergence at step
+    # 10, as in one batch of all paths, though it lies in the later half.
+    with pytest.raises(EnsembleError, match="initial 'mix_minus', N = 10: singular"
+                       " Newton system at path 5, step 2"):
         run_ensembles(cfgs[1:])
+
+
+def test_blas_held_at_one_thread_and_restored(monkeypatch):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError, AttributeError):
+        blas = "unknown"
+    calls = ergodic._openblas_threads()
+    if calls is None:
+        assert "openblas" not in blas, f"no OpenBLAS thread calls found ({blas})"
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    get, set_threads = calls
+    old = get()
+    set_threads(2)
+    try:
+        with ergodic._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        # run_ensembles holds it in-process too, so every W computes alike.
+        seen, run_half = [], ergodic._run_half
+        monkeypatch.setattr(ergodic, "_run_half",
+                            lambda half: seen.append(get()) or run_half(half))
+        monkeypatch.setattr(ergodic, "_cpu_count", lambda: 1)
+        run_ensemble(ensemble_cfg(n_steps=2))
+        assert seen == [1, 1]
+        assert get() == 2
+    finally:
+        set_threads(old)
 
 
 def test_dead_worker_fails_loudly(tmp_path):
