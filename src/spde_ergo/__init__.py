@@ -9,7 +9,6 @@ from .spectral import (
     eigenvalue,
     eigenvalues,
     sobolev_norm,
-    resolvent_apply,
     geometric_decay_sum,
 )
 from .model import (
@@ -19,7 +18,6 @@ from .model import (
     paper_diffusion,
     constant_diffusion,
     heat_model,
-    zero_model,
     validate_step_constraint,
 )
 from .noise import NoiseStream

@@ -438,21 +438,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     params = cfg.build_params()
     initial = cfg.initials[0]
     x0 = initial_datum(initial, cfg.n_modes)
-    traj_x, traj_w = [], []
+    traj_x = np.empty((cfg.steps + 1, cfg.n_modes))
+    traj_w = np.empty_like(traj_x)
 
     def recorder(step, x, w):
-        traj_x.append(x.copy())
-        traj_w.append(w.copy())
+        traj_x[step], traj_w[step] = x, w
 
     max_iters, _ = run_path(x0, cfg.steps, params, model,
                             NoiseStream(cfg.effective_seed()), observers=(recorder,))
 
-    rows = []
-    for step, (x, w) in enumerate(zip(traj_x, traj_w)):
-        for mode in range(cfg.n_modes):
-            rows.append((str(step), _fmt(step * cfg.tau), str(mode + 1),
-                         _fmt(x[mode]), _fmt(w[mode])))
-    _write_csv(out_dir / "trajectory.csv", "step,t,mode,x_coeff,w_coeff", rows)
+    modes = [str(mode + 1) for mode in range(cfg.n_modes)]
+    _write_csv(out_dir / "trajectory.csv", "step,t,mode,x_coeff,w_coeff",
+               ((str(step), _fmt(step * cfg.tau), mode, _fmt(xv), _fmt(wv))
+                for step, (x, w) in enumerate(zip(traj_x, traj_w))
+                for mode, xv, wv in zip(modes, x, w)))
 
     residuals = random_pde_residual(traj_x, traj_w, params, model)
     _write_csv(out_dir / "residuals.csv", "step,residual",

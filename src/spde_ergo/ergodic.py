@@ -496,8 +496,8 @@ class ConvolutionMomentReport:
 
     p = 2  # moment order: the series hold squared norms
     sup_by_key: dict[tuple[int, float], float]
-    trend_ratio_by_key: dict[tuple[int, float], float]
-    n_ratio_by_beta: dict[float, float]
+    trend_ratio_by_key: dict[tuple[int, float], float | None]
+    n_ratio_by_beta: dict[float, float | None]
 
 
 def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSeries]
@@ -507,7 +507,8 @@ def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSerie
     Each series must hold ensemble means of ||W_j||_beta^2. The trend ratio
     compares the last-quarter mean to the second-quarter mean; the N ratio
     compares sup_j at the largest N to the smallest N for each beta, probing
-    the claimed uniformity in both j and N.
+    the claimed uniformity in both j and N. A ratio with a zero denominator,
+    as for a noiseless W, is None.
     """
     sup_by_key = {}
     trend_by_key = {}
@@ -518,13 +519,14 @@ def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSerie
         second = vals[m // 4 : m // 2]
         last = vals[3 * m // 4 :]
         denom = float(np.mean(second)) if second.size else float("nan")
-        trend_by_key[key] = float(np.mean(last)) / denom if denom else float("inf")
+        trend_by_key[key] = float(np.mean(last)) / denom if denom else None
     n_ratio = {}
     betas = {beta for (_, beta) in series_by_key}
     for beta in betas:
         ns = sorted(n for (n, b) in series_by_key if b == beta)
         if len(ns) >= 2:
-            n_ratio[beta] = sup_by_key[(ns[-1], beta)] / sup_by_key[(ns[0], beta)]
+            low = sup_by_key[(ns[0], beta)]
+            n_ratio[beta] = sup_by_key[(ns[-1], beta)] / low if low else None
     return ConvolutionMomentReport(sup_by_key=sup_by_key,
                                    trend_ratio_by_key=trend_by_key,
                                    n_ratio_by_beta=n_ratio)

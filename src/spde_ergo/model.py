@@ -25,7 +25,6 @@ __all__ = [
     "allen_cahn_model",
     "paper_diffusion",
     "constant_diffusion",
-    "zero_model",
     "heat_model",
     "validate_step_constraint",
     "default_quadrature",
@@ -60,31 +59,6 @@ class ModelConstants:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def check_sampled(self, drift: ScalarFn, diffusion: ScalarFn,
-                      radius: float = 10.0, n_samples: int = 201) -> list[str]:
-        """Check the four structural inequalities on a deterministic grid.
-
-        Returns a list of violation messages (empty if all hold).
-        """
-        xi = np.linspace(-radius, radius, n_samples)
-        f = np.asarray(drift(xi), dtype=float)
-        g = np.asarray(diffusion(xi), dtype=float)
-        tol = 1e-9 * (1.0 + np.abs(f).max())
-        msgs = []
-        diff_f = f[:, None] - f[None, :]
-        diff_x = xi[:, None] - xi[None, :]
-        if np.max(diff_f * diff_x - self.K1 * diff_x**2) > tol:
-            msgs.append("one-sided Lipschitz bound K1 violated on sample grid")
-        if np.max(f * xi - self.K2 * xi**2 - self.K3) > tol:
-            msgs.append("coercivity bound (K2, K3) violated on sample grid")
-        if np.max(np.abs(f) - self.K4 * np.abs(xi) ** self.q - self.K5) > tol:
-            msgs.append("growth bound (K4, K5, q) violated on sample grid")
-        if np.max(np.abs(g)) > self.K6 + 1e-12:
-            msgs.append("diffusion bound K6 violated on sample grid")
-        if np.min(np.abs(g)) <= 0.0:
-            msgs.append("diffusion vanishes on sample grid")
-        return msgs
-
 
 @dataclass(frozen=True)
 class CoefficientModel:
@@ -97,14 +71,6 @@ class CoefficientModel:
     drift_deriv: ScalarFn
     diffusion: ScalarFn
     constants: ModelConstants
-
-    def check_derivative(self, radius: float = 10.0, n_samples: int = 201,
-                         h: float = 1e-5) -> float:
-        """Max normalized mismatch between drift_deriv and central differences."""
-        xi = np.linspace(-radius, radius, n_samples)
-        fd = (self.drift(xi + h) - self.drift(xi - h)) / (2 * h)
-        fp = self.drift_deriv(xi)
-        return float(np.max(np.abs(fp - fd) / (1.0 + np.abs(fp))))
 
 
 def paper_diffusion() -> ScalarFn:
@@ -160,14 +126,6 @@ def heat_model(diffusion: ScalarFn, K6: float) -> CoefficientModel:
     constants = ModelConstants(K1=0.0, K2=0.0, K3=0.0, K4=0.0, K5=0.0, K6=K6)
     return CoefficientModel(drift=zero, drift_deriv=zero,
                             diffusion=diffusion, constants=constants)
-
-
-def zero_model() -> CoefficientModel:
-    """Zero drift and zero diffusion (pure deterministic heat flow)."""
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    constants = ModelConstants(K1=0.0, K2=0.0, K3=0.0, K4=0.0, K5=0.0, K6=0.0)
-    return CoefficientModel(drift=zero, drift_deriv=zero,
-                            diffusion=zero, constants=constants)
 
 
 @dataclass(frozen=True)

@@ -263,8 +263,7 @@ def random_pde_residual(traj_x: Sequence, traj_w: Sequence,
     ws = _Workspace(params, model)
     x = np.asarray(traj_x, dtype=float)
     y = x - np.asarray(traj_w, dtype=float)
-    return np.linalg.norm(
-        ws.one_plus * y[1:] - y[:-1] - ws.tau * ws.drift(x[1:]), axis=1)
+    return _row_norms(ws.one_plus * y[1:] - y[:-1] - ws.tau * ws.drift(x[1:]))
 
 
 Observer = Callable[[int, np.ndarray, np.ndarray], None]

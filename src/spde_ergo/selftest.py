@@ -3,25 +3,22 @@
 Each suite is a pure check that runs in well under a second and guards one
 structural property: transform exactness, geometric-sum closed form,
 strict monotonicity of the implicit operator, Newton uniqueness, Jacobian
-consistency, and stream determinism.
+consistency, and stream determinism. The operator suites check the
+engine's own scheme._Workspace: its residual(x, 0) is
+F_hat(x) = (I + tau Lambda) x - tau P_N F(x), and its newton_matrix is the
+Jacobian of F_hat.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    GalerkinOperators,
-    allen_cahn_model,
-    default_quadrature,
-    validate_step_constraint,
-)
+from .model import allen_cahn_model, validate_step_constraint
 from .noise import NoiseStream
-from .scheme import SchemeParams, implicit_solve, run_path
-from .spectral import basis_matrix, eigenvalues, geometric_decay_sum
+from .scheme import SchemeParams, _Workspace, implicit_solve, run_path
+from .spectral import basis_matrix, geometric_decay_sum
 
 __all__ = ["SuiteResult", "run_selftest"]
 
@@ -66,30 +63,17 @@ def _paper_setup():
     return model, params
 
 
-def _drift_ops(params, model) -> GalerkinOperators:
-    return GalerkinOperators(model, params.n_modes,
-                             default_quadrature(params.n_modes, model.constants))
-
-
-def _hat_f(x, tau, ops):
-    return (1.0 + tau * eigenvalues(ops.n)) * x - tau * ops.drift(x[None])[0]
-
-
 def _suite_monotonicity(rng) -> SuiteResult:
     model, params = _paper_setup()
     c0 = validate_step_constraint(model.constants, params.tau).c0
-    ops = _drift_ops(params, model)
-    worst_ip = math.inf
-    worst_exp = math.inf
-    for _ in range(1000):
-        x = rng.standard_normal(params.n_modes)
-        y = rng.standard_normal(params.n_modes)
-        d = x - y
-        fd = _hat_f(x, params.tau, ops) - _hat_f(y, params.tau, ops)
-        worst_ip = min(worst_ip, float(d @ fd) - c0 * float(d @ d))
-        worst_exp = min(worst_exp,
-                        float(np.linalg.norm(fd))
-                        - c0 * float(np.linalg.norm(d)))
+    hat_f = _Workspace(params, model).residual
+    pairs = rng.standard_normal((1000, 2, params.n_modes))
+    x, y = pairs[:, 0], pairs[:, 1]
+    d = x - y
+    fd = hat_f(x, 0.0) - hat_f(y, 0.0)
+    worst_ip = float(np.min(np.sum(d * fd, axis=1) - c0 * np.sum(d * d, axis=1)))
+    worst_exp = float(np.min(np.linalg.norm(fd, axis=1)
+                             - c0 * np.linalg.norm(d, axis=1)))
     ok = worst_ip >= -1e-8 and worst_exp >= -1e-8
     return SuiteResult("strict_monotonicity", ok,
                        f"min margins: inner product {worst_ip:.3e}, "
@@ -110,16 +94,16 @@ def _suite_newton_uniqueness(rng) -> SuiteResult:
 
 def _suite_jacobian_fd(rng) -> SuiteResult:
     model, params = _paper_setup()
-    ops = _drift_ops(params, model)
+    ws = _Workspace(params, model)
     worst = 0.0
     h = 1e-6
     for _ in range(10):
         x = rng.standard_normal(params.n_modes)
-        jac = ops.jacobian(x[None])[0]
+        jac = ws.newton_matrix(x[None])[0]
         scale = np.max(np.abs(jac)) + 1.0
         # Row m of x + h I (of x - h I) is x moved by h along mode m.
         shift = h * np.eye(params.n_modes)
-        fd = (ops.drift(x + shift) - ops.drift(x - shift)) / (2 * h)
+        fd = (ws.residual(x + shift, 0.0) - ws.residual(x - shift, 0.0)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(fd.T - jac))) / scale)
     return SuiteResult("jacobian_fd", worst <= 1e-6,
                        f"max relative FD mismatch {worst:.3e}")
@@ -128,8 +112,8 @@ def _suite_jacobian_fd(rng) -> SuiteResult:
 def _suite_cubic_projection(rng) -> SuiteResult:
     # for f = 4(u - u^3) and x = a e_1 the projection has the closed form
     # (4a - 6a^3, 0, 2a^3, 0), from int sin^4 = 3/8, int sin^3 sin(3.) = -1/8
-    model, _ = _paper_setup()
-    ops = GalerkinOperators(model, 4, 16)
+    model, params = _paper_setup()
+    ops = _Workspace(replace(params, n_modes=4), model)  # quadrature 16
     worst = 0.0
     for _ in range(20):
         a = float(rng.uniform(-2.0, 2.0))

@@ -21,7 +21,6 @@ __all__ = [
     "basis_matrix",
     "grid_nodes",
     "sobolev_norm",
-    "resolvent_apply",
     "resolvent_factors",
     "geometric_decay_sum",
 ]
@@ -65,28 +64,22 @@ def sobolev_norm(c, beta: float) -> float:
 
 
 def resolvent_factors(n_modes: int, tau: float) -> np.ndarray:
-    """Diagonal entries 1/(1 + tau*lambda_k) of the one-step resolvent."""
+    """Diagonal 1/(1 + tau*lambda_k) of the resolvent (I - tau*Laplacian_N)^(-1)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return 1.0 / (1.0 + tau * eigenvalues(n_modes))
-
-
-def resolvent_apply(c, tau: float) -> np.ndarray:
-    """Apply S_{N,tau} = (I - tau*Laplacian_N)^(-1): c_k -> c_k/(1 + tau*lambda_k)."""
-    arr = np.asarray(c, dtype=float)
-    return arr * resolvent_factors(arr.shape[-1], tau)
 
 
 def geometric_decay_sum(lam: float, tau: float, j) -> float:
     """Sum_{i=0}^{j-1} (1 + tau*lam)^(-2(j-i)) in closed form.
 
     With r = 1/(1 + tau*lam) the sum equals r^2 (1 - r^(2j)) / (1 - r^2).
-    Pass j = math.inf (or None) for the limit 1/(tau*lam*(2 + tau*lam)).
+    Pass j = math.inf for the limit 1/(tau*lam*(2 + tau*lam)).
     """
     if lam <= 0 or tau <= 0:
         raise ValueError("lam and tau must be positive")
     limit = 1.0 / (tau * lam * (2.0 + tau * lam))
-    if j is None or j == math.inf:
+    if j == math.inf:
         return limit
     j = int(j)
     if j < 1:

@@ -10,7 +10,8 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "nemytskii_drift", "nemytskii_jacobian", "noise_matrix",
            "validate_nondegeneracy", "NondegeneracyResult",
            "multiplicative_increment", "RunningAverage", "LyapunovReference",
-           "drift_quadrature_floor", "noise_quadrature_floor")
+           "drift_quadrature_floor", "noise_quadrature_floor",
+           "zero_model", "resolvent_apply")
 
 
 def test_all_names_no_module():

@@ -16,6 +16,9 @@ from spde_ergo.cli import (
     parse_config,
     serialize_config,
 )
+from spde_ergo.ergodic import initial_datum
+from spde_ergo.noise import NoiseStream
+from spde_ergo.scheme import random_pde_residual, run_path
 
 TINY = """\
 model.name = allen_cahn
@@ -401,6 +404,53 @@ def test_cmd_simulate_outputs(tmp_path):
     assert len(res) == 1 + 20
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_residual"] <= 10 * 1e-10
+
+
+def test_cmd_simulate_rows_equal_a_direct_run_path_recording(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--output", str(out)]) == 0
+    cfg = parse_config(TINY)
+    model, params = cfg.build_model(), cfg.build_params()
+    traj_x, traj_w = [], []
+
+    def rec(step, x, w):
+        traj_x.append(x.copy())
+        traj_w.append(w.copy())
+
+    run_path(initial_datum(cfg.initials[0], cfg.n_modes), cfg.steps, params, model,
+             NoiseStream(cfg.effective_seed()), observers=(rec,))
+
+    def data_rows(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return [tuple(float(v) for v in line.split(",")) for line in lines]
+
+    # .17g text reads back as the exact double, so the rows compare exactly.
+    assert data_rows("trajectory.csv") == [
+        (step, step * cfg.tau, mode + 1, x[mode], w[mode])
+        for step, (x, w) in enumerate(zip(traj_x, traj_w))
+        for mode in range(cfg.n_modes)]
+    residuals = random_pde_residual(traj_x, traj_w, params, model)
+    assert data_rows("residuals.csv") == [(j + 1, r) for j, r in enumerate(residuals)]
+
+
+@pytest.mark.parametrize("sweep", ["scheme.n_sweep = 6, 12\n", ""],
+                         ids=["sweep", "single-n"])
+def test_zero_noise_convolution_reports_null_ratios(tmp_path, sweep):
+    # W stays 0, so every trend and N ratio has a zero denominator
+    text = TINY.replace("diffusion = paper", "diffusion = zero") + sweep
+    out = tmp_path / "out"
+    assert main(["convolution", "--config", write_cfg(tmp_path, text),
+                 "--output", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    uniformity = json.loads((out / "summary.json").read_text(),
+                            parse_constant=reject)["uniformity"]
+    assert uniformity["trend_ratio"]
+    assert all(v is None for v in uniformity["trend_ratio"].values())
+    assert all(v is None for v in uniformity["n_ratio"].values())
+    assert bool(uniformity["n_ratio"]) == bool(sweep)
 
 
 def test_exit_code_config_error(tmp_path, capsys):

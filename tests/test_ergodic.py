@@ -20,13 +20,13 @@ from spde_ergo.model import (
     allen_cahn_model,
     constant_diffusion,
     heat_model,
-    zero_model,
 )
 from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import SchemeParams, run_path
 from spde_ergo.spectral import eigenvalues, geometric_decay_sum
 
 TAU = 0.05
+ZERO = heat_model(constant_diffusion(0.0), 0.0)  # zero drift and diffusion
 
 
 def linear_cfg(**kw):
@@ -102,7 +102,7 @@ def test_ensemble_rejects_inadmissible_step():
 
 def test_deterministic_ensemble_matches_direct_computation():
     # g = 0, f = 0: time average of ||x||^2 equals the resolvent power sums
-    m = zero_model()
+    m = ZERO
     factors = 1 / (1 + TAU * eigenvalues(10))
     x0 = initial_datum("sine", 10)
     direct = [float(np.sum((factors**j * x0) ** 2)) for j in range(1, 51)]
@@ -118,7 +118,7 @@ def test_deterministic_ensemble_matches_direct_computation():
 
 
 def test_deterministic_series_strictly_decreasing():
-    res = run_ensemble(linear_cfg(model=zero_model(), n_paths=1, n_steps=60))
+    res = run_ensemble(linear_cfg(model=ZERO, n_paths=1, n_steps=60))
     vals = res.x_moment.values
     # strictly decreasing until the values hit the Newton-tolerance floor
     assert np.all(np.diff(vals[:25]) < 0)
@@ -245,7 +245,7 @@ def test_lyapunov_reference_gamma():
 
 def test_lyapunov_series_exact_linear_decay():
     # g = 0, f = 0: E||X_j||^2 decays at rate 2 ln(1 + tau lam1)/tau at least
-    cfg = linear_cfg(model=zero_model(), n_paths=1, n_steps=80)
+    cfg = linear_cfg(model=ZERO, n_paths=1, n_steps=80)
     res = run_ensemble(cfg)
     x0_ns = 0.5
     gamma_exact = 2 * math.log(1 + TAU * math.pi**2) / TAU
@@ -257,7 +257,7 @@ def test_lyapunov_series_exact_linear_decay():
 
 
 def test_lyapunov_series_zero_trajectory():
-    cfg = linear_cfg(model=zero_model(), n_paths=1, n_steps=20,
+    cfg = linear_cfg(model=ZERO, n_paths=1, n_steps=20,
                      initial="sine")
     res = run_ensemble(cfg)
     # rescale: feed a zero series directly
@@ -277,12 +277,13 @@ def test_lyapunov_report_fails_without_decay():
 
 
 def test_convolution_report_zero_noise():
-    cfg = linear_cfg(model=zero_model(), n_paths=2, n_steps=40,
+    cfg = linear_cfg(model=ZERO, n_paths=2, n_steps=40,
                      moment_betas=(0.0, 0.4))
     res = run_ensemble(cfg)
     report = convolution_moment_report(
         {(10, b): res.w_moments[b] for b in (0.0, 0.4)})
     assert all(v == 0.0 for v in report.sup_by_key.values())
+    assert all(v is None for v in report.trend_ratio_by_key.values())
 
 
 def test_convolution_report_structure():

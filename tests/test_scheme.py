@@ -11,7 +11,6 @@ from spde_ergo.model import (
     constant_diffusion,
     default_quadrature,
     heat_model,
-    zero_model,
 )
 from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import (
@@ -24,11 +23,17 @@ from spde_ergo.scheme import (
     run_path,
     run_paths_vectorized,
 )
-from spde_ergo.spectral import eigenvalues, geometric_decay_sum, resolvent_apply
+from spde_ergo.spectral import eigenvalues, geometric_decay_sum, resolvent_factors
 
 TAU = 0.05
 PARAMS = SchemeParams(n_modes=10, tau=TAU)
 AC = allen_cahn_model(0.5)
+ZERO = heat_model(constant_diffusion(0.0), 0.0)  # zero drift and diffusion
+
+
+def resolvent(c):
+    """S_{N,tau} c = (I - tau*Laplacian_N)^(-1) c."""
+    return c * resolvent_factors(c.size, TAU)
 
 
 def drift_ops(params, model):
@@ -69,12 +74,12 @@ def test_params_validation():
 
 
 def test_implicit_solve_linear_case_is_resolvent():
-    m = zero_model()
+    m = ZERO
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(6)
     p = SchemeParams(n_modes=6, tau=TAU)
     sol, iters, _ = implicit_solve(rhs, p, m)
-    np.testing.assert_allclose(sol, resolvent_apply(rhs, TAU), atol=1e-13)
+    np.testing.assert_allclose(sol, resolvent(rhs), atol=1e-13)
     assert iters <= 2
 
 
@@ -198,13 +203,13 @@ def test_hat_f_directional_derivative_matches_fd():
 
 def test_dieg_step_deterministic_heat():
     # g = 0, f = 0: pure resolvent contraction, convolution stays zero
-    m = zero_model()
+    m = ZERO
     p = SchemeParams(n_modes=4, tau=TAU)
     x0 = np.array([1.0, -0.5, 0.2, 0.1])
     states = run_states(x0, 1, p, m, NoiseStream(0))
     assert len(states) == 2
     x1, w1 = states[1]
-    np.testing.assert_allclose(x1, resolvent_apply(x0, TAU), atol=1e-13)
+    np.testing.assert_allclose(x1, resolvent(x0), atol=1e-13)
     np.testing.assert_allclose(w1, 0.0, atol=1e-15)
 
 
@@ -229,17 +234,17 @@ def test_dieg_step_defining_equation_residual():
     assert np.linalg.norm(residual) <= 10 * PARAMS.newton_tol
 
 
-# The convolution update W' = S_{N,tau} (W + noise) is resolvent_apply.
+# The convolution update is W' = S_{N,tau} (W + noise).
 def test_convolution_update_single_step():
     noise = np.array([1.0, 2.0, -1.0])
-    w1 = resolvent_apply(np.zeros(3) + noise, TAU)
+    w1 = resolvent(np.zeros(3) + noise)
     np.testing.assert_allclose(w1, noise / (1 + TAU * eigenvalues(3)), rtol=1e-15)
 
 
 def test_convolution_zero_noise_stays_zero():
     w = np.zeros(3)
     for _ in range(10):
-        w = resolvent_apply(w + np.zeros(3), TAU)
+        w = resolvent(w + np.zeros(3))
     np.testing.assert_array_equal(w, 0.0)
 
 
@@ -250,7 +255,7 @@ def test_convolution_recursion_equals_direct_sum():
     noises = [rng.standard_normal(5) for _ in range(30)]
     w = np.zeros(5)
     for noise in noises:
-        w = resolvent_apply(w + noise, TAU)
+        w = resolvent(w + noise)
     j = len(noises)
     direct = sum(factors ** (j - i) * noises[i] for i in range(j))
     np.testing.assert_allclose(w, direct, atol=1e-10)
@@ -329,7 +334,7 @@ def test_run_path_zero_steps():
 
 def test_run_path_diagonal_decay_exact():
     # g = 0, f = 0, x0 = e1: x at step j is (1 + tau*lam1)^(-j) e1
-    m = zero_model()
+    m = ZERO
     p = SchemeParams(n_modes=4, tau=TAU)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     seen = {}
