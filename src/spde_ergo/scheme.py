@@ -5,7 +5,8 @@ equation
 
     (I + tau*Lambda) X' - tau * P_N F(X') = X + P_N G(X) dW
 
-with damped Newton iteration, and advances the coupled stochastic
+by resolvent fixed-point sweeps, then damped Newton iteration for the rows
+the sweeps leave unconverged, and advances the coupled stochastic
 convolution W by one resolvent application of (W + noise).  The transform
 Y = X - W then satisfies a pathwise (random) PDE recursion whose residual
 is exposed as a consistency diagnostic.
@@ -123,6 +124,10 @@ class _Workspace(GalerkinOperators):
         # The spare last row of the product table holds vec(diag(1 + tau
         # Lambda)), so newton_matrix is one product with [-tau f'(u), 1].
         self._products[-1, ::self.n + 1] = self.one_plus
+        # The sweeps take tau P_N F(x) as model.drift(x @ basis.T) @ _tau_proj,
+        # two passes fewer than tau * drift(x); residual keeps drift's own
+        # rounding, which Newton's round-off floor is judged against.
+        self._tau_proj = self.basis * (self.tau * self.weight)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.one_plus * x - self.tau * self.drift(x) - rhs
@@ -136,9 +141,52 @@ class _Workspace(GalerkinOperators):
         coef[:, q] = 1.0
         return (coef @ self._products).reshape(len(x), self.n, self.n)
 
+    def _sweep(self, rhs: np.ndarray,
+               guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's best of up to _SWEEPS resolvent fixed-point sweeps.
+
+        A sweep maps x to (I + tau Lambda)^-1 s, s = rhs + tau P_N F(x), the
+        linearly implicit Euler predictor of x; the same s gives x's
+        residual (I + tau Lambda) x - s. A row sweeps on while its residual
+        is above tol and each sweep cuts it to at most _SWEEP_RATIO of the
+        last. A stopped row is frozen: from a large state the map diverges.
+        Returns each row's best iterate, its residual and the residual's
+        norm.
+        """
+        drift, lift, proj = self.model.drift, self.basis.T, self._tau_proj
+        tol_sq, ratio_sq = self.tol * self.tol, _SWEEP_RATIO * _SWEEP_RATIO
+        x = guess
+        s = rhs + drift(x @ lift) @ proj
+        res = self.one_plus * x - s
+        sq = np.add.reduce(res * res, axis=1)
+        best, best_res, best_sq = x.copy(), res, sq
+        # A NaN residual compares false, so its row never sweeps.
+        sweeping = sq > tol_sq
+        live = sweeping[:, None]  # a view, so it follows sweeping
+        for _ in range(_SWEEPS):
+            n_sweeping = np.count_nonzero(sweeping)
+            if not n_sweeping:
+                break
+            x = self.res_factors * s
+            if n_sweeping < len(x):
+                # A frozen row stays at its best iterate, whose drift is known.
+                x = np.where(live, x, best)
+            s = rhs + drift(x @ lift) @ proj
+            res = self.one_plus * x - s
+            prev, sq = sq, np.add.reduce(res * res, axis=1)
+            better = sq < best_sq
+            if np.count_nonzero(better) == len(x):
+                best, best_res, best_sq = x, res, sq
+            else:
+                best_sq = np.where(better, sq, best_sq)
+                np.copyto(best, x, where=better[:, None])
+                np.copyto(best_res, res, where=better[:, None])
+            sweeping &= (sq <= ratio_sq * prev) & (sq > tol_sq)
+        return best, best_res, np.sqrt(best_sq)
+
     def newton(self, rhs: np.ndarray, guess: np.ndarray, step: int | None = None,
                first_path: int | None = None) -> tuple[np.ndarray, int, float]:
-        """Solve every row of F_hat(x) = rhs by damped Newton iteration.
+        """Solve every row of F_hat(x) = rhs: sweeps, then damped Newton.
 
         Returns (x, iterations, largest final residual norm). A failure
         names the first failing row as path first_path + row.
@@ -152,18 +200,7 @@ class _Workspace(GalerkinOperators):
             return NonConvergenceError(float(residuals[row]), iterations,
                                        step=step, path=path)
 
-        # Start each row from its guess or from the linearly implicit Euler
-        # predictor, whichever has the smaller residual. The predictor alone
-        # is unsafe: an explicit drift step from a large state overshoots.
-        tau_drift = self.tau * self.drift(guess)
-        x = self.res_factors * (rhs + tau_drift)
-        res = self.residual(x, rhs)
-        rnorm = _row_norms(res)
-        res_guess = self.one_plus * guess - tau_drift - rhs
-        rn_guess = _row_norms(res_guess)
-        # A NaN predictor residual compares false, so its row keeps the guess.
-        keep = ~(rnorm < rn_guess)
-        x[keep], res[keep], rnorm[keep] = guess[keep], res_guess[keep], rn_guess[keep]
+        x, res, rnorm = self._sweep(rhs, guess)
         at_floor = np.zeros(len(x), dtype=bool)
         iters = 0
         while True:
@@ -228,6 +265,17 @@ class _Workspace(GalerkinOperators):
 # A residual within this many machine epsilons times the scale of its terms
 # is round-off; the stalled residual measured 1.2 to 1.7 of them, N = 1..40.
 _FLOOR_EPS = 8.0
+
+# Resolvent sweeps before Newton, and the factor by which a sweep must cut a
+# row's residual for the row to go on. At eps = 0.5, tau = 0.05 a sweep cuts
+# it about tenfold: 4 sweeps take the rows Newton solves per path-step from
+# 2.87 to 1.57 (N = 10, 200 paths) and the engine time down 23 % (N = 10,
+# 500 paths) and 47 % (N = 40, 100 paths), while a one-path run, where each
+# numpy call costs more than its arithmetic, stays as fast. A fifth sweep
+# gains 5-10 % more on batches and costs a one-path run about as much.
+# Ratios from 0.3 to 0.9 perform alike at eps >= 0.2.
+_SWEEPS = 4
+_SWEEP_RATIO = 0.8
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

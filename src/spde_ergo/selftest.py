@@ -30,7 +30,7 @@ class SuiteResult:
     detail: str
 
 
-def _suite_parseval(rng) -> SuiteResult:
+def _suite_parseval(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 16))
@@ -39,11 +39,10 @@ def _suite_parseval(rng) -> SuiteResult:
         mat = basis_matrix(n, q)
         back = mat.T @ (mat @ c) / (q + 1)
         worst = max(worst, float(np.max(np.abs(back - c))))
-    return SuiteResult("parseval_roundtrip", worst <= 1e-12,
-                       f"max roundtrip error {worst:.3e}")
+    return worst <= 1e-12, f"max roundtrip error {worst:.3e}"
 
 
-def _suite_geometric_sum(rng) -> SuiteResult:
+def _suite_geometric_sum(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(100):
         lam = float(rng.uniform(0.5, 2000.0))
@@ -53,8 +52,7 @@ def _suite_geometric_sum(rng) -> SuiteResult:
         brute = float(np.sum(r ** np.arange(1, j + 1)))
         closed = geometric_decay_sum(lam, tau, j)
         worst = max(worst, abs(closed - brute) / brute)
-    return SuiteResult("geometric_sum", worst <= 1e-12,
-                       f"max relative error {worst:.3e}")
+    return worst <= 1e-12, f"max relative error {worst:.3e}"
 
 
 def _paper_setup():
@@ -63,7 +61,7 @@ def _paper_setup():
     return model, params
 
 
-def _suite_monotonicity(rng) -> SuiteResult:
+def _suite_monotonicity(rng) -> tuple[bool, str]:
     model, params = _paper_setup()
     c0 = validate_step_constraint(model.constants, params.tau).c0
     hat_f = _Workspace(params, model).residual
@@ -75,12 +73,11 @@ def _suite_monotonicity(rng) -> SuiteResult:
     worst_exp = float(np.min(np.linalg.norm(fd, axis=1)
                              - c0 * np.linalg.norm(d, axis=1)))
     ok = worst_ip >= -1e-8 and worst_exp >= -1e-8
-    return SuiteResult("strict_monotonicity", ok,
-                       f"min margins: inner product {worst_ip:.3e}, "
-                       f"expansion {worst_exp:.3e}")
+    return ok, (f"min margins: inner product {worst_ip:.3e}, "
+                f"expansion {worst_exp:.3e}")
 
 
-def _suite_newton_uniqueness(rng) -> SuiteResult:
+def _suite_newton_uniqueness(rng) -> tuple[bool, str]:
     model, params = _paper_setup()
     worst = 0.0
     for _ in range(20):
@@ -88,11 +85,10 @@ def _suite_newton_uniqueness(rng) -> SuiteResult:
         a, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
         b, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return SuiteResult("newton_uniqueness", worst <= 1e-8,
-                       f"max solution spread {worst:.3e}")
+    return worst <= 1e-8, f"max solution spread {worst:.3e}"
 
 
-def _suite_jacobian_fd(rng) -> SuiteResult:
+def _suite_jacobian_fd(rng) -> tuple[bool, str]:
     model, params = _paper_setup()
     ws = _Workspace(params, model)
     worst = 0.0
@@ -105,11 +101,10 @@ def _suite_jacobian_fd(rng) -> SuiteResult:
         shift = h * np.eye(params.n_modes)
         fd = (ws.residual(x + shift, 0.0) - ws.residual(x - shift, 0.0)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(fd.T - jac))) / scale)
-    return SuiteResult("jacobian_fd", worst <= 1e-6,
-                       f"max relative FD mismatch {worst:.3e}")
+    return worst <= 1e-6, f"max relative FD mismatch {worst:.3e}"
 
 
-def _suite_cubic_projection(rng) -> SuiteResult:
+def _suite_cubic_projection(rng) -> tuple[bool, str]:
     # for f = 4(u - u^3) and x = a e_1 the projection has the closed form
     # (4a - 6a^3, 0, 2a^3, 0), from int sin^4 = 3/8, int sin^3 sin(3.) = -1/8
     model, params = _paper_setup()
@@ -121,11 +116,10 @@ def _suite_cubic_projection(rng) -> SuiteResult:
         out = ops.drift(c[None])[0]
         expected = np.array([4 * a - 6 * a**3, 0.0, 2 * a**3, 0.0])
         worst = max(worst, float(np.max(np.abs(out - expected))))
-    return SuiteResult("cubic_projection", worst <= 1e-10,
-                       f"max deviation from closed form {worst:.3e}")
+    return worst <= 1e-10, f"max deviation from closed form {worst:.3e}"
 
 
-def _suite_determinism(rng) -> SuiteResult:
+def _suite_determinism(rng) -> tuple[bool, str]:
     model, params = _paper_setup()
     x0 = rng.standard_normal(params.n_modes) * 0.3
     runs = []
@@ -135,20 +129,31 @@ def _suite_determinism(rng) -> SuiteResult:
                  observers=(lambda step, x, w: states.append((x.copy(), w.copy())),))
         runs.append(np.array(states))
     same = np.array_equal(runs[0], runs[1])
-    return SuiteResult("determinism", same,
-                       "bit-identical replay" if same else "replay mismatch")
+    return same, "bit-identical replay" if same else "replay mismatch"
+
+
+_SUITES = (
+    ("parseval_roundtrip", _suite_parseval),
+    ("geometric_sum", _suite_geometric_sum),
+    ("strict_monotonicity", _suite_monotonicity),
+    ("newton_uniqueness", _suite_newton_uniqueness),
+    ("jacobian_fd", _suite_jacobian_fd),
+    ("cubic_projection", _suite_cubic_projection),
+    ("determinism", _suite_determinism),
+)
 
 
 def run_selftest(seed: int = 0) -> list[SuiteResult]:
-    """Run every fast invariant suite with a fixed sampling seed."""
-    suites = [
-        _suite_parseval,
-        _suite_geometric_sum,
-        _suite_monotonicity,
-        _suite_newton_uniqueness,
-        _suite_jacobian_fd,
-        _suite_cubic_projection,
-        _suite_determinism,
-    ]
-    return [suite(np.random.default_rng(seed + i))
-            for i, suite in enumerate(suites)]
+    """Run every fast invariant suite with a fixed sampling seed.
+
+    A suite that raises fails with the exception as its detail, and the
+    later suites still run.
+    """
+    results = []
+    for i, (name, suite) in enumerate(_SUITES):
+        try:
+            passed, detail = suite(np.random.default_rng(seed + i))
+        except Exception as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(SuiteResult(name, passed, detail))
+    return results

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spde_ergo import run_ensemble
+from spde_ergo import run_ensemble, selftest
 from spde_ergo.cli import (
     PAPER_PRESET,
     SEED_ENV_VAR,
@@ -207,7 +207,7 @@ def test_heat_model_ignores_epsilon(tmp_path):
 
 
 def test_failed_sweep_leg_names_its_n(tmp_path, capsys):
-    text = TINY + "scheme.n_sweep = 6, 12\nscheme.newton_max_iter = 3\n"
+    text = TINY + "scheme.n_sweep = 6, 12\nscheme.newton_max_iter = 2\n"
     out = tmp_path / "out"
     assert main(["convolution", "--config", write_cfg(tmp_path, text),
                  "--output", str(out)]) == 2
@@ -472,6 +472,20 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert "all suites passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
+    def boom(rng):
+        raise RuntimeError("boom")
+
+    suites = list(selftest._SUITES)
+    suites[1] = (suites[1][0], boom)
+    monkeypatch.setattr(selftest, "_SUITES", tuple(suites))
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert f"FAIL  {suites[1][0]}: RuntimeError: boom" in out
+    assert out.count("PASS") == len(suites) - 1
+    assert "FAILURES detected" in out
 
 
 def test_readme_key_table_lists_every_schema_key():

@@ -1,9 +1,13 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spde_ergo import scheme
 from spde_ergo.ergodic import initial_datum
 from spde_ergo.model import (
     GalerkinOperators,
@@ -137,8 +141,9 @@ def test_newton_stalled_at_round_off_floor_is_converged():
 
 def test_newton_stuck_above_floor_still_fails():
     # f' of the wrong sign and size makes every Newton step an ascent
-    # direction, so the line search runs dry far above the round-off floor
-    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -u,
+    # direction, so the line search runs dry far above the round-off floor;
+    # the drift -200u stops the resolvent sweeps at their first sweep
+    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -200.0 * u,
                 drift_deriv=lambda u: np.full_like(u, 2000.0))
     x0 = np.zeros((2, 10))
     x0[1] = 0.5
@@ -356,8 +361,9 @@ def test_run_path_identical_seeds_bitwise():
 
 
 def test_run_path_nonconvergence_keeps_partial_records():
-    # three Newton iterations suffice for the first steps of this path only
-    p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=3)
+    # two Newton iterations after the sweeps suffice for the first steps of
+    # this path only
+    p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=2)
     seen = []
     with pytest.raises(NonConvergenceError) as exc:
         run_path(np.full(10, 0.3), 40, p, AC, NoiseStream(7, path_index=3),
@@ -381,6 +387,98 @@ def test_predictor_start_cuts_newton_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     run_paths_vectorized(initial_datum("mix_plus", 10), 30, PARAMS, AC, 2024, 200)
     assert sum(rows) / (200 * 30) <= 3.0
+
+
+def test_sweeps_cut_newton_rows_below_two(monkeypatch):
+    # rows solved per path-step on the 200-path run above: 2.87 from the
+    # predictor start alone, 1.57 after the resolvent sweeps
+    solve, rows = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        rows.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    run_paths_vectorized(initial_datum("mix_plus", 10), 30, PARAMS, AC, 2024, 200)
+    assert sum(rows) / (200 * 30) <= 2.0
+
+
+def test_sweep_converged_rows_match_newton_only_solve(monkeypatch):
+    # engine states whose right-hand side moved by 1e-7 (half the rows) or
+    # 1e-1: most of the first rows converge in the sweeps, the others need
+    # Newton
+    states = []
+    run_paths_vectorized(initial_datum("mix_plus", 10), 10, PARAMS, AC, 5, 40,
+                         observers=(lambda step, x, w: states.append(x.copy()),))
+    ws = _Workspace(PARAMS, AC)
+    guess = states[-1]
+    size = np.repeat([1e-7, 1e-1], 20)[:, None]
+    rhs = ws.residual(guess, 0.0) + size * np.random.default_rng(8).standard_normal(guess.shape)
+    assert np.linalg.norm(ws.residual(guess, rhs), axis=1).min() > PARAMS.newton_tol
+    swept, _, rnorm = ws._sweep(rhs, guess)
+    done = rnorm <= PARAMS.newton_tol
+    assert done[:20].sum() >= 15 and not done[20:].any()
+    x, _, residual = ws.newton(rhs, guess)
+    assert residual <= PARAMS.newton_tol
+    np.testing.assert_array_equal(x[done], swept[done])
+    monkeypatch.setattr(scheme, "_SWEEPS", 1)
+    newton_only, _, _ = ws.newton(rhs, guess)
+    np.testing.assert_allclose(x, newton_only, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 6, 20])
+def test_residual_matches_independent_oracle(n):
+    # F_hat(x) - rhs from (n pi)^2 and the drift projected on 8N nodes, at
+    # random states of amplitude 2; the sweeps step with res_factors and
+    # judge with one_plus, so the two must be reciprocal
+    p = SchemeParams(n_modes=n, tau=TAU)
+    ws = _Workspace(p, AC)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-2.0, 2.0, (20, n))
+    rhs = rng.standard_normal((20, n))
+    q = 8 * n
+    k = np.arange(1, n + 1)
+    e = math.sqrt(2.0) * np.sin(math.pi * np.outer(np.arange(1, q + 1) / (q + 1), k))
+    u = x @ e.T
+    tau_drift = TAU * (4.0 * (u - u**3)) @ e / (q + 1)
+    lam_x = (1.0 + TAU * (k * math.pi) ** 2) * x
+    want = lam_x - tau_drift - rhs
+    scale = np.abs(lam_x).max() + np.abs(tau_drift).max() + np.abs(rhs).max()
+    np.testing.assert_allclose(ws.residual(x, rhs), want, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(ws.res_factors * ws.one_plus, 1.0, rtol=0, atol=4e-16)
+    # the sweeps hand Newton the residual of the state they hand over
+    best, res, rnorm = ws._sweep(rhs, x)
+    np.testing.assert_allclose(res, ws.residual(best, rhs), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(rnorm, np.linalg.norm(res, axis=1))
+
+
+@given(st.floats(0.185, 1.0), st.integers(1, 20), st.floats(0.0, 20.0),
+       st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_boundary_fuzz_converges_or_names_its_failure(eps, n, amplitude, n_paths,
+                                                      n_steps, seed):
+    # near the step-constraint edge (eps = 0.185: C0 = 0.033) and from large
+    # states, a run converges or raises naming its (step, path), warning-free
+    params = SchemeParams(n_modes=n, tau=TAU)
+    x0 = amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, (n_paths, n))
+    seen = []
+
+    def finite(step, x, w):
+        assert np.isfinite(x).all() and np.isfinite(w).all()
+        seen.append(step)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _, worst = run_paths_vectorized(x0, n_steps, params, allen_cahn_model(eps),
+                                            seed, n_paths, observers=(finite,),
+                                            first_path_index=3)
+        except (NonConvergenceError, SingularLinearSolveError) as exc:
+            assert 0 <= exc.step < n_steps and 3 <= exc.path < 3 + n_paths
+            assert seen == list(range(exc.step + 1))
+        else:
+            assert worst <= params.newton_tol
+            assert seen == list(range(n_steps + 1))
 
 
 def test_vectorized_matches_per_path():
@@ -452,8 +550,9 @@ def test_singular_newton_system_names_its_path(monkeypatch):
         return mats
 
     monkeypatch.setattr(_Workspace, "newton_matrix", singular_row_1)
+    # from states this large the sweeps diverge, so every row reaches Newton
     with pytest.raises(SingularLinearSolveError) as exc:
-        run_paths_vectorized(np.full((3, 10), 0.2), 5, PARAMS, AC, 1, 3,
+        run_paths_vectorized(np.full((3, 10), 5.0), 5, PARAMS, AC, 1, 3,
                              first_path_index=4)
     assert (exc.value.step, exc.value.path) == (0, 5)
     assert "singular Newton system at path 5, step 0" in str(exc.value)

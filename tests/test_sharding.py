@@ -50,7 +50,7 @@ scheme.n_sweep = 6, 12
 """
 
 # The failing sweep leg of test_cli.test_failed_sweep_leg_names_its_n.
-FAILING = CONFIG.replace("run.paths = 5", "run.paths = 4") + "scheme.newton_max_iter = 3\n"
+FAILING = CONFIG.replace("run.paths = 5", "run.paths = 4") + "scheme.newton_max_iter = 2\n"
 
 
 def ensemble_cfg(**kw):
