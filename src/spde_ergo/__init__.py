@@ -8,7 +8,6 @@ from types import ModuleType as _ModuleType
 from .spectral import (
     eigenvalue,
     eigenvalues,
-    sobolev_norm,
     geometric_decay_sum,
 )
 from .model import (

@@ -97,7 +97,6 @@ class RunConfig:
     n_modes: int = 10
     tau: float = 0.05
     newton_tol: float = SchemeParams.newton_tol
-    newton_max_iter: int = SchemeParams.newton_max_iter
     n_sweep: tuple[int, ...] | None = None
     steps: int = 2000
     paths: int = 200
@@ -141,7 +140,6 @@ class RunConfig:
             n_modes=self.n_modes if n_modes is None else n_modes,
             tau=self.tau,
             newton_tol=self.newton_tol,
-            newton_max_iter=self.newton_max_iter,
         )
 
     def effective_seed(self) -> int:
@@ -189,7 +187,6 @@ _SCHEMA = {
     "scheme.n_modes": ("n_modes", int),
     "scheme.tau": ("tau", float),
     "scheme.newton_tol": ("newton_tol", float),
-    "scheme.newton_max_iter": ("newton_max_iter", int),
     "scheme.n_sweep": ("n_sweep", _parse_list(int)),
     "run.steps": ("steps", int),
     "run.paths": ("paths", int),
@@ -277,8 +274,6 @@ def _validate_semantics(cfg: RunConfig) -> list[str]:
     if not 0 < cfg.newton_tol < math.inf:
         errors.append(
             f"scheme.newton_tol must be finite and positive, got {cfg.newton_tol}")
-    if cfg.newton_max_iter < 1:
-        errors.append("scheme.newton_max_iter must be >= 1")
     # The model checks its own keys (epsilon, diffusion); step-size
     # admissibility needs its constants and an otherwise clean config.
     try:

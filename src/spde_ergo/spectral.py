@@ -1,4 +1,4 @@
-"""Dirichlet sine eigenbasis on (0,1): eigenvalues, basis matrix, norms, resolvent.
+"""Dirichlet sine eigenbasis on (0,1): eigenvalues, basis matrix, resolvent.
 
 States live in the span of the first N eigenvectors of the Dirichlet
 Laplacian, e_k(xi) = sqrt(2) sin(k pi xi) with eigenvalue lambda_k = (k pi)^2,
@@ -20,7 +20,6 @@ __all__ = [
     "eigenvalues",
     "basis_matrix",
     "grid_nodes",
-    "sobolev_norm",
     "resolvent_factors",
     "geometric_decay_sum",
 ]
@@ -54,13 +53,6 @@ def basis_matrix(n_modes: int, q_nodes: int) -> np.ndarray:
         raise ValueError("n_modes and q_nodes must be >= 1")
     k = np.arange(1, n_modes + 1)
     return math.sqrt(2.0) * np.sin(np.pi * np.outer(grid_nodes(q_nodes), k))
-
-
-def sobolev_norm(c, beta: float) -> float:
-    """Fractional Sobolev norm (sum_k lambda_k^beta c_k^2)^(1/2); beta=0 is L2."""
-    arr = np.asarray(c, dtype=float)
-    lam = eigenvalues(arr.size)
-    return float(np.sqrt(np.sum(lam**beta * arr**2)))
 
 
 def resolvent_factors(n_modes: int, tau: float) -> np.ndarray:

@@ -11,7 +11,7 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "validate_nondegeneracy", "NondegeneracyResult",
            "multiplicative_increment", "RunningAverage", "LyapunovReference",
            "drift_quadrature_floor", "noise_quadrature_floor",
-           "zero_model", "resolvent_apply")
+           "zero_model", "resolvent_apply", "sobolev_norm")
 
 
 def test_all_names_no_module():

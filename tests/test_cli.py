@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spde_ergo import run_ensemble, selftest
+from spde_ergo import run_ensemble, scheme, selftest
 from spde_ergo.cli import (
     PAPER_PRESET,
     SEED_ENV_VAR,
@@ -132,7 +132,6 @@ def test_errors_are_collected_not_first_only():
     ("scheme.newton_tol = 0", "scheme.newton_tol"),
     ("scheme.newton_tol = nan", "scheme.newton_tol"),
     ("scheme.newton_tol = inf", "scheme.newton_tol"),
-    ("scheme.newton_max_iter = 0", "scheme.newton_max_iter"),
     # N fixes the noise modes and the quadrature; neither is a key.
     ("scheme.noise_modes = 10", "unknown key"),
     ("scheme.quadrature = 64", "unknown key"),
@@ -206,13 +205,33 @@ def test_heat_model_ignores_epsilon(tmp_path):
     assert (out / "summary.json").exists()
 
 
+OVERFLOWING = TINY.replace("diffusion = paper", "diffusion = constant:1e200")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_sweep_leg_names_its_n(tmp_path, capsys):
-    text = TINY + "scheme.n_sweep = 6, 12\nscheme.newton_max_iter = 2\n"
+    # noise of size 1e200 overflows the first step of every leg
+    text = OVERFLOWING + "scheme.n_sweep = 6, 12\n"
     out = tmp_path / "out"
     assert main(["convolution", "--config", write_cfg(tmp_path, text),
                  "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "initial 'sine', N = 6:" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["convolution", "simulate", "ergodic"])
+def test_overflowing_noise_fails_without_writing_nan(tmp_path, capsys, command):
+    # an overflowed residual is inf and so is its round-off floor; the run
+    # must fail naming the step, not accept the row and write NaN moments
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, OVERFLOWING + "scheme.n_sweep = 6, 12\n")
+    assert main([command, "--config", cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Newton failed at path 0, step 0: residual inf" in err
+    written = [p.read_text(encoding="utf-8") for p in out.rglob("*") if p.is_file()]
+    assert not any("nan" in text.lower() for text in written)
 
 
 def test_unknown_initial_rejected():
@@ -351,7 +370,7 @@ def test_summary_reports_worst_newton_over_ensembles(tmp_path, command):
     assert summary["newton"] == {
         "max_iters": max(r.max_newton_iters for r in results),
         "max_residual": max(r.max_residual for r in results)}
-    assert 1 <= summary["newton"]["max_iters"] < cfg.newton_max_iter
+    assert 1 <= summary["newton"]["max_iters"] < scheme._MAX_ITER
     assert 0 < summary["newton"]["max_residual"] <= cfg.newton_tol
 
 
@@ -490,12 +509,13 @@ def test_selftest_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys)
 
 def test_readme_key_table_lists_every_schema_key():
     # The key table runs from its "| key |" header to the first blank line;
-    # a combined row such as `run.steps` / `run.paths` counts each key.
+    # a combined row such as `run.steps` / `run.paths` counts each key, and
+    # each key is listed once.
     readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key |", 1)[1].split("\n\n", 1)[0]
-    documented = {key for line in table.splitlines()[2:]
-                  for key in re.findall(r"`(\w+\.\w+)`", line.split("|")[1])}
-    assert documented == set(_SCHEMA)
+    documented = [key for line in table.splitlines()[2:]
+                  for key in re.findall(r"`(\w+\.\w+)`", line.split("|")[1])]
+    assert sorted(documented) == sorted(_SCHEMA)
 
 
 def test_default_config_is_valid():

@@ -125,7 +125,7 @@ def test_newton_stalled_at_round_off_floor_is_converged():
     # round-off floor of terms of size 1e8, and the line search runs dry
     rhs = np.full(10, 1e6)
     sol, iters, residual = implicit_solve(rhs, PARAMS, AC)
-    assert iters < PARAMS.newton_max_iter
+    assert iters < scheme._MAX_ITER
     assert PARAMS.newton_tol < residual <= 1e-9
     res = hat_f(sol, PARAMS, AC) - rhs
     assert np.linalg.norm(res) == pytest.approx(residual, rel=1e-12)
@@ -361,12 +361,14 @@ def test_run_path_identical_seeds_bitwise():
 
 
 def test_run_path_nonconvergence_keeps_partial_records():
-    # two Newton iterations after the sweeps suffice for the first steps of
-    # this path only
-    p = SchemeParams(n_modes=10, tau=TAU, newton_tol=1e-10, newton_max_iter=2)
+    # unit noise on a linear drift that is NaN above 0.4: this path's state
+    # first crosses 0.4 at step 8, whose solve then stalls at the edge
+    m = replace(heat_model(constant_diffusion(1.0), 1.0),
+                drift=lambda u: np.where(u > 0.4, np.nan, -u),
+                drift_deriv=lambda u: -np.ones_like(u))
     seen = []
     with pytest.raises(NonConvergenceError) as exc:
-        run_path(np.full(10, 0.3), 40, p, AC, NoiseStream(7, path_index=3),
+        run_path(np.zeros(10), 40, PARAMS, m, NoiseStream(7, path_index=3),
                  observers=(lambda step, x, w: seen.append(step),))
     assert exc.value.path == 3
     assert 0 < exc.value.step < 40
@@ -539,6 +541,34 @@ def test_nan_residual_is_never_converged():
     (step, x), = seen
     assert step == 0
     np.testing.assert_array_equal(x, x0[1])
+
+
+def test_newton_out_of_iterations_names_its_path():
+    # a Newton matrix 100 times too large cuts the residual by about 1 % per
+    # iteration, so the budget runs out far above the tolerance; the row at
+    # 0 is solved already
+    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -200.0 * u,
+                drift_deriv=lambda u: np.full_like(u, -20000.0))
+    x0 = np.zeros((2, 10))
+    x0[1] = 0.5
+    with pytest.raises(NonConvergenceError) as exc:
+        run_paths_vectorized(x0, 3, PARAMS, m, 1, 2, first_path_index=3)
+    assert (exc.value.path, exc.value.step) == (4, 0)
+    assert exc.value.iterations == scheme._MAX_ITER
+    assert exc.value.residual > 1e-2
+    assert (f"path 4, step 0: residual {exc.value.residual:.3e} after"
+            f" {scheme._MAX_ITER} iterations") in str(exc.value)
+
+
+def test_overflowed_residual_is_never_at_the_floor():
+    # noise of size 1e200 overflows the residual's squared norm to inf, and
+    # the round-off floor of such a row is inf too
+    m = allen_cahn_model(0.5, diffusion=constant_diffusion(1e200), K6=1e200)
+    p = SchemeParams(n_modes=6, tau=TAU)
+    with np.errstate(all="ignore"), pytest.raises(NonConvergenceError) as exc:
+        run_paths_vectorized(np.zeros(6), 3, p, m, 11, 1, first_path_index=2)
+    assert (exc.value.path, exc.value.step) == (2, 0)
+    assert exc.value.residual == math.inf
 
 
 def test_singular_newton_system_names_its_path(monkeypatch):

@@ -12,7 +12,6 @@ from spde_ergo.spectral import (
     geometric_decay_sum,
     grid_nodes,
     resolvent_factors,
-    sobolev_norm,
 )
 
 
@@ -98,20 +97,6 @@ def test_parseval_roundtrip(n, seed):
     mat = basis_matrix(n, q)
     back = mat.T @ (mat @ c) / (q + 1)
     np.testing.assert_allclose(back, c, atol=1e-12)
-
-
-def test_sobolev_norm_values():
-    assert sobolev_norm([1.0, 0.0], 0.0) == pytest.approx(1.0, rel=1e-14)
-    assert sobolev_norm([1.0, 0.0], 1.0) == pytest.approx(math.pi, rel=1e-14)
-    expected = math.sqrt(1 / math.pi**2 + 1 / (4 * math.pi**2))
-    assert sobolev_norm([1.0, 1.0], -1.0) == pytest.approx(expected, rel=1e-14)
-
-
-def test_sobolev_norm_beta_zero_is_l2():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        c = rng.standard_normal(12)
-        assert sobolev_norm(c, 0.0) ** 2 == pytest.approx(float(c @ c), rel=1e-14)
 
 
 def test_resolvent_values():
