@@ -3,7 +3,7 @@
 A model bundles the scalar drift f, its derivative f', the scalar diffusion
 g, and the structural constants: one-sided Lipschitz rate K1, coercivity
 pair (K2, K3), growth pair (K4, K5) with exponent q, and the diffusion
-bound K6.  GalerkinOperators lifts f, f' and g pointwise; its Galerkin
+bound K6.  GalerkinOperators lifts f and g pointwise; its Galerkin
 projections evaluate coefficient rows on a dealiased quadrature grid with
 spectral.basis_matrix, apply the scalar function and project back.
 """
@@ -170,7 +170,7 @@ class GalerkinOperators:
 
     Each operator takes a (P, N) array whose rows are independent
     coefficient vectors, lifts them to the Q interior quadrature nodes,
-    applies f, f' or g pointwise and projects back with weight 1/(Q+1).
+    applies f or g pointwise and projects back with weight 1/(Q+1).
     A single coefficient vector is a one-row array. The drift of a degree-d
     polynomial f is exact once Q reaches the drift floor (d + 1) N, and the
     scheme uses default_quadrature. Q must reach the noise floor 2N, below
@@ -185,23 +185,10 @@ class GalerkinOperators:
         self.n = n_modes
         self.basis = basis_matrix(n_modes, q_nodes)
         self.weight = 1.0 / (q_nodes + 1)
-        # ((Q+1) x N^2) table: row q < Q is e_n(xi_q) e_m(xi_q) / (Q+1), so
-        # assembling every row's Jacobian is a single matrix product. The
-        # last row is zero here; the scheme stores vec(diag(1 + tau Lambda))
-        # in it and assembles its Newton matrix with the same product.
-        b = self.basis
-        self._products = np.zeros((q_nodes + 1, n_modes * n_modes))
-        np.multiply((b[:, :, None] * b[:, None, :]).reshape(q_nodes, -1),
-                    self.weight, out=self._products[:-1])
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Rows of P_N F(x)."""
         return self.model.drift(x @ self.basis.T) @ self.basis * self.weight
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """(P, N, N) stack of the symmetric Jacobians of drift at each row."""
-        fp = self.model.drift_deriv(x @ self.basis.T)
-        return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
     def noise(self, x: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
         """Rows of P_N G(x) dW for the (P, N) noise-mode increments dbeta."""

@@ -119,8 +119,13 @@ class _Workspace(GalerkinOperators):
         self.one_plus = 1.0 + self.tau * eigenvalues(self.n)
         self.res_factors = resolvent_factors(self.n, self.tau)
         self.tol = params.newton_tol
-        # The spare last row of the product table holds vec(diag(1 + tau
-        # Lambda)), so newton_matrix is one product with [-tau f'(u), 1].
+        # ((Q+1) x N^2) table: row q < Q is e_n(xi_q) e_m(xi_q) / (Q+1) and
+        # the last row is vec(diag(1 + tau Lambda)), so jacobian is one
+        # product with f'(u) and newton_matrix one with [-tau f'(u), 1].
+        b, q = self.basis, len(self.basis)
+        self._products = np.zeros((q + 1, self.n * self.n))
+        np.multiply((b[:, :, None] * b[:, None, :]).reshape(q, -1),
+                    self.weight, out=self._products[:-1])
         self._products[-1, ::self.n + 1] = self.one_plus
         # The sweeps take tau P_N F(x) as model.drift(x @ basis.T) @ _tau_proj,
         # two passes fewer than tau * drift(x); residual keeps drift's own
@@ -129,6 +134,11 @@ class _Workspace(GalerkinOperators):
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.one_plus * x - self.tau * self.drift(x) - rhs
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """(P, N, N) stack of the symmetric Jacobians of P_N F at each row."""
+        fp = self.model.drift_deriv(x @ self.basis.T)
+        return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
     def newton_matrix(self, x: np.ndarray) -> np.ndarray:
         """(P, N, N) stack of diag(1 + tau Lambda) - tau J(x) at each row."""

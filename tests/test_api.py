@@ -3,6 +3,7 @@ from types import ModuleType
 import pytest
 
 import spde_ergo
+import spde_ergo.cli
 
 RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "convolution_update", "gaussian_increments",
@@ -11,7 +12,8 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "validate_nondegeneracy", "NondegeneracyResult",
            "multiplicative_increment", "RunningAverage", "LyapunovReference",
            "drift_quadrature_floor", "noise_quadrature_floor",
-           "zero_model", "resolvent_apply", "sobolev_norm")
+           "zero_model", "resolvent_apply", "sobolev_norm",
+           "PAPER_PRESET", "serialize_config")
 
 
 def test_all_names_no_module():
@@ -24,5 +26,6 @@ def test_all_names_no_module():
 def test_retired_name_is_gone(name):
     assert name not in spde_ergo.__all__
     for module in (spde_ergo, spde_ergo.scheme, spde_ergo.noise,
-                   spde_ergo.spectral, spde_ergo.model, spde_ergo.ergodic):
+                   spde_ergo.spectral, spde_ergo.model, spde_ergo.ergodic,
+                   spde_ergo.cli):
         assert not hasattr(module, name)

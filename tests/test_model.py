@@ -12,6 +12,7 @@ from spde_ergo.model import (
     paper_diffusion,
     validate_step_constraint,
 )
+from spde_ergo.scheme import SchemeParams, _Workspace
 
 EPS = 0.5
 LAM1 = math.pi**2
@@ -27,8 +28,10 @@ def drift(c, model, q):
     return GalerkinOperators(model, c.size, q).drift(c[None])[0]
 
 
-def jacobian(c, model, q):
-    return GalerkinOperators(model, c.size, q).jacobian(c[None])[0]
+def jacobian(c, model):
+    """P_N F's Jacobian at c, as the engine assembles it at its quadrature."""
+    params = SchemeParams(n_modes=c.size, tau=0.05)
+    return _Workspace(params, model).jacobian(c[None])[0]
 
 
 def noise_matrix(c, model, q):
@@ -193,21 +196,21 @@ def test_jacobian_linear_drift_is_identity_multiple():
         constants=ModelConstants(K1=alpha, K2=alpha, K3=0.0, K4=alpha, K5=0.0,
                                  K6=1.0, q=1.0),
     )
-    jac = jacobian(np.array([0.2, -0.4, 0.1]), m, 12)
+    jac = jacobian(np.array([0.2, -0.4, 0.1]), m)
     np.testing.assert_allclose(jac, alpha * np.eye(3), atol=1e-12)
 
 
 def test_jacobian_at_origin(ac_model):
-    jac = jacobian(np.zeros(5), ac_model, 20)
+    jac = jacobian(np.zeros(5), ac_model)
     np.testing.assert_allclose(jac, 4.0 * np.eye(5), atol=1e-12)
 
 
 def test_jacobian_symmetric_and_matches_finite_differences(ac_model):
     rng = np.random.default_rng(11)
-    q = 32
+    q = default_quadrature(8, ac_model.constants)
     for _ in range(5):
         c = rng.standard_normal(8)
-        jac = jacobian(c, ac_model, q)
+        jac = jacobian(c, ac_model)
         np.testing.assert_allclose(jac, jac.T, atol=1e-12)
         h = 1e-6
         scale = np.max(np.abs(jac)) + 1.0
