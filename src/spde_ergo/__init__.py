@@ -24,14 +24,12 @@ from .scheme import (
     SchemeParams,
     NonConvergenceError,
     SingularLinearSolveError,
-    implicit_solve,
     random_pde_residual,
     run_path,
 )
 from .ergodic import (
     FUNCTIONAL_TAGS,
     INITIAL_DATA_IDS,
-    functional_eval,
     initial_datum,
     MomentSeries,
     EnsembleConfig,

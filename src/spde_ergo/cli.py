@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -494,7 +495,9 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # The engine names a non-finite row's (path, step) itself; NumPy's
         # warnings would add lines, once per forked worker that sees them.
-        with np.errstate(all="ignore"):
+        # A library warning prints as one line, without its source line.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error:\n{exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ from .spectral import eigenvalue, eigenvalues
 __all__ = [
     "FUNCTIONAL_TAGS",
     "INITIAL_DATA_IDS",
-    "functional_eval",
     "initial_datum",
     "MomentSeries",
     "EnsembleConfig",
@@ -68,14 +67,6 @@ _FUNCTIONALS = {
 FUNCTIONAL_TAGS = tuple(_FUNCTIONALS)
 
 INITIAL_DATA_IDS = ("sine", "mix_plus", "mix_minus")
-
-
-def functional_eval(tag: str, c) -> float:
-    """Evaluate a test functional of the L2 norm (via Parseval) at c."""
-    if tag not in _FUNCTIONALS:
-        raise ValueError(f"unknown functional tag {tag!r}")
-    arr = np.asarray(c, dtype=float)
-    return float(_FUNCTIONALS[tag](float(arr @ arr)))
 
 
 def initial_datum(name: str, n_modes: int) -> np.ndarray:
@@ -186,7 +177,6 @@ class EnsembleResult:
     w_moments: dict[float, MomentSeries]
     max_newton_iters: int
     max_residual: float
-    per_path_finals: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # Every ensemble's P paths run as min(P, N_HALVES) contiguous halves,
@@ -197,11 +187,11 @@ N_HALVES = 2
 @dataclass
 class _HalfStats:
     """Statistics of one half: per-step ensemble mean and centred sum of
-    squares of each statistic row, per-path running-average sums, Newton maxima."""
+    squares of each statistic row over its n paths, Newton maxima."""
 
     mean: np.ndarray
     m2: np.ndarray
-    phi_cum: np.ndarray
+    n: int
     max_iters: int
     max_res: float
 
@@ -266,24 +256,21 @@ def _run_half(half: _Half) -> _HalfStats | NonConvergenceError | SingularLinearS
             observers=(observer,), first_path_index=half.first)
     except (NonConvergenceError, SingularLinearSolveError) as exc:
         return exc
-    return _HalfStats(mean, m2, phi_cum, max_iters, max_res)
+    return _HalfStats(mean, m2, n_paths, max_iters, max_res)
 
 
 def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
     """One ensemble's result from its halves, merged in ascending path order
     by the pairwise update of Chan, Golub & LeVeque (1979)."""
-    mean, m2, count = halves[0].mean, halves[0].m2, halves[0].phi_cum.shape[1]
+    mean, m2, count = halves[0].mean, halves[0].m2, halves[0].n
     for h in halves[1:]:
-        n_b = h.phi_cum.shape[1]
-        n = count + n_b
+        n = count + h.n
         delta = h.mean - mean
-        mean = mean + delta * (n_b / n)
-        m2 = m2 + h.m2 + delta * delta * (count * n_b / n)
+        mean = mean + delta * (h.n / n)
+        m2 = m2 + h.m2 + delta * delta * (count * h.n / n)
         count = n
-    phi_cum = np.concatenate([h.phi_cum for h in halves], axis=1)
 
-    n_steps, burn_in = cfg.n_steps, cfg.burn_in
-    steps = np.arange(n_steps + 1)
+    steps = np.arange(cfg.n_steps + 1)
     # A single path has m2 = 0 and reads a zero stderr.
     stderr = np.sqrt(m2 / (max(count - 1, 1) * count))
 
@@ -293,15 +280,13 @@ def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
     first_avg = 1 + len(cfg.moment_betas)
     return EnsembleResult(
         config=cfg,
-        time_averages={tag: series(first_avg + i, burn_in + 1)
+        time_averages={tag: series(first_avg + i, cfg.burn_in + 1)
                        for i, tag in enumerate(cfg.functionals)},
         x_moment=series(0),
         w_moments={beta: series(r)
                    for r, beta in enumerate(cfg.moment_betas, start=1)},
         max_newton_iters=max(h.max_iters for h in halves),
         max_residual=max(h.max_res for h in halves),
-        per_path_finals=dict(zip(cfg.functionals,
-                                 phi_cum / (n_steps - burn_in))),
     )
 
 
@@ -514,7 +499,7 @@ def convolution_moment_report(series_by_key: dict[tuple[int, float], MomentSerie
     trend_by_key = {}
     for key, series in series_by_key.items():
         vals = series.values
-        sup_by_key[key] = float(np.max(vals))
+        sup_by_key[key] = series.sup()
         m = len(vals)
         second = vals[m // 4 : m // 2]
         last = vals[3 * m // 4 :]

@@ -33,7 +33,6 @@ __all__ = [
     "SchemeParams",
     "NonConvergenceError",
     "SingularLinearSolveError",
-    "implicit_solve",
     "random_pde_residual",
     "run_path",
     "run_paths_vectorized",
@@ -295,19 +294,6 @@ _SWEEP_RATIO = 0.8
 def _row_norms(a: np.ndarray) -> np.ndarray:
     # np.linalg.norm(a, axis=1) without its per-call overhead; same rounding.
     return np.sqrt(np.add.reduce(a * a, axis=1))
-
-
-def implicit_solve(rhs, params: SchemeParams, model: CoefficientModel,
-                   guess=None) -> tuple[np.ndarray, int, float]:
-    """Solve F_hat(x) = rhs, F_hat(x) = (I + tau*Lambda) x - tau P_N F(x).
-
-    The solution is unique whenever (K1 - lambda_1) tau < 1 (strict
-    monotonicity of F_hat). Returns (x, Newton iterations, final residual).
-    """
-    rhs_arr = np.asarray(rhs, dtype=float)
-    guess_arr = rhs_arr if guess is None else np.asarray(guess, dtype=float)
-    x, iters, res = _Workspace(params, model).newton(rhs_arr[None], guess_arr[None])
-    return x[0], iters, res
 
 
 def random_pde_residual(traj_x: Sequence, traj_w: Sequence,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import allen_cahn_model, validate_step_constraint
 from .noise import NoiseStream
-from .scheme import SchemeParams, _Workspace, implicit_solve, run_path
+from .scheme import SchemeParams, _Workspace, run_path
 from .spectral import basis_matrix, geometric_decay_sum
 
 __all__ = ["SuiteResult", "run_selftest"]
@@ -79,11 +79,12 @@ def _suite_monotonicity(rng) -> tuple[bool, str]:
 
 def _suite_newton_uniqueness(rng) -> tuple[bool, str]:
     model, params = _paper_setup()
+    newton = _Workspace(params, model).newton
     worst = 0.0
     for _ in range(20):
-        rhs = rng.standard_normal(params.n_modes)
-        a, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
-        b, _, _ = implicit_solve(rhs, params, model, guess=rng.standard_normal(10))
+        rhs = rng.standard_normal((1, params.n_modes))
+        a, _, _ = newton(rhs, rng.standard_normal((1, 10)))
+        b, _, _ = newton(rhs, rng.standard_normal((1, 10)))
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst <= 1e-8, f"max solution spread {worst:.3e}"
 

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -13,7 +15,8 @@ RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "multiplicative_increment", "RunningAverage", "LyapunovReference",
            "drift_quadrature_floor", "noise_quadrature_floor",
            "zero_model", "resolvent_apply", "sobolev_norm",
-           "PAPER_PRESET", "serialize_config")
+           "PAPER_PRESET", "serialize_config",
+           "functional_eval", "implicit_solve")
 
 
 def test_all_names_no_module():
@@ -29,3 +32,36 @@ def test_retired_name_is_gone(name):
                    spde_ergo.spectral, spde_ergo.model, spde_ergo.ergodic,
                    spde_ergo.cli):
         assert not hasattr(module, name)
+
+
+def _program_references(tree: ast.AST) -> set[str]:
+    """Names a module's code uses, by Name, Attribute and ImportFrom nodes;
+    a use inside the function or class of the same name does not count."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        used = []
+        if isinstance(node, ast.Name):
+            used = [node.id]
+        elif isinstance(node, ast.Attribute):
+            used = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            used = [alias.name for alias in node.names]
+        found.update(name for name in used if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_has_a_program_caller():
+    # Strings such as __all__ entries and docstrings are no references.
+    package = Path(spde_ergo.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _program_references(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(spde_ergo.__all__) - used) == []

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from spde_ergo.ergodic import (
+    _FUNCTIONALS,
     FUNCTIONAL_TAGS,
     EnsembleConfig,
     MomentSeries,
     agreement_check,
     convolution_moment_report,
-    functional_eval,
     initial_datum,
     lyapunov_rate,
     lyapunov_series,
@@ -22,7 +22,7 @@ from spde_ergo.model import (
     heat_model,
 )
 from spde_ergo.noise import NoiseStream
-from spde_ergo.scheme import SchemeParams, run_path
+from spde_ergo.scheme import SchemeParams, run_path, run_paths_vectorized
 from spde_ergo.spectral import eigenvalues, geometric_decay_sum
 
 TAU = 0.05
@@ -42,27 +42,41 @@ def linear_cfg(**kw):
     return EnsembleConfig(**base)
 
 
+def per_path_finals(cfg):
+    """Each path's final norm_sq time average (no burn-in), run as the
+    ensemble runs it: one batch per half, [0, P//2) and [P//2, P)."""
+    sums = []
+    cuts = [0, cfg.n_paths // 2, cfg.n_paths]
+    for first, stop in zip(cuts, cuts[1:]):
+        cum = np.zeros(stop - first)
+
+        def add(step, x, w, cum=cum):
+            if step > 0:
+                cum += (x * x).sum(axis=1)
+
+        run_paths_vectorized(cfg.initial_coeffs(), cfg.n_steps, cfg.params, cfg.model,
+                             cfg.master_seed, stop - first, observers=(add,),
+                             first_path_index=first)
+        sums.append(cum)
+    return np.concatenate(sums) / cfg.n_steps
+
+
 def test_functional_eval_at_zero():
     z = np.zeros(4)
-    assert functional_eval("exp_neg_norm_sq", z) == 1.0
-    assert functional_eval("sin_norm_sq", z) == 0.0
-    assert functional_eval("norm_sq", z) == 0.0
+    assert _FUNCTIONALS["exp_neg_norm_sq"](z @ z) == 1.0
+    assert _FUNCTIONALS["sin_norm_sq"](z @ z) == 0.0
+    assert _FUNCTIONALS["norm_sq"](z @ z) == 0.0
 
 
 def test_functional_eval_unit_mode():
     c = np.array([1.0, 0.0])
-    assert functional_eval("norm_sq", c) == 1.0
-    assert functional_eval("exp_neg_norm_sq", c) == pytest.approx(math.exp(-1))
+    assert _FUNCTIONALS["norm_sq"](c @ c) == 1.0
+    assert _FUNCTIONALS["exp_neg_norm_sq"](c @ c) == pytest.approx(math.exp(-1))
 
 
 def test_functional_eval_sine_initial():
     c = initial_datum("sine", 10)
-    assert functional_eval("norm_sq", c) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_functional_eval_rejects_unknown():
-    with pytest.raises(ValueError):
-        functional_eval("nope", np.zeros(2))
+    assert _FUNCTIONALS["norm_sq"](c @ c) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_initial_data():
@@ -148,7 +162,7 @@ def test_running_average_recomputation(tag, burn_in):
     for p in range(cfg.n_paths):
 
         def rec(step, x, w, row=phi[p]):
-            row[step] = functional_eval(tag, x)
+            row[step] = _FUNCTIONALS[tag](x @ x)
 
         run_path(initial_datum("sine", 10), cfg.n_steps, cfg.params,
                  cfg.model, NoiseStream(cfg.master_seed, path_index=p),
@@ -161,14 +175,12 @@ def test_running_average_recomputation(tag, burn_in):
                                   np.arange(burn_in + 1, cfg.n_steps + 1))
     np.testing.assert_allclose(avg.values, running.mean(axis=0),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(res.per_path_finals[tag], logged.mean(axis=1),
-                               rtol=0, atol=1e-12)
 
 
 def test_stderr_matches_two_pass_computation():
     cfg = linear_cfg(n_paths=12, n_steps=30)
     res = run_ensemble(cfg)
-    finals = res.per_path_finals["norm_sq"]
+    finals = per_path_finals(cfg)
     expected = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
     assert res.time_averages["norm_sq"].final_stderr == pytest.approx(
         expected, rel=1e-13)
@@ -183,7 +195,7 @@ def test_stderr_survives_a_large_mean():
     cfg = linear_cfg(model=heat_model(constant_diffusion(1e-7), 1e-7),
                      initial="mix_plus", n_paths=12, n_steps=30)
     res = run_ensemble(cfg)
-    finals = res.per_path_finals["norm_sq"]
+    finals = per_path_finals(cfg)
     expected = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
     assert res.time_averages["norm_sq"].final_stderr == pytest.approx(
         expected, rel=1e-13)

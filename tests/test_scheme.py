@@ -22,7 +22,6 @@ from spde_ergo.scheme import (
     SchemeParams,
     SingularLinearSolveError,
     _Workspace,
-    implicit_solve,
     random_pde_residual,
     run_path,
     run_paths_vectorized,
@@ -49,6 +48,14 @@ def hat_f(x, params, model):
     lam = eigenvalues(x.size)
     return ((1 + params.tau * lam) * x
             - params.tau * drift_ops(params, model).drift(x[None])[0])
+
+
+def solve_one(rhs, params, model, guess=None):
+    """The engine's solve of F_hat(x) = rhs on one row, from guess (default
+    rhs): returns (x, Newton iterations, final residual norm)."""
+    start = rhs if guess is None else guess
+    x, iters, res = _Workspace(params, model).newton(rhs[None], start[None])
+    return x[0], iters, res
 
 
 def run_states(x0, n_steps, params, model, stream):
@@ -82,7 +89,7 @@ def test_implicit_solve_linear_case_is_resolvent():
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(6)
     p = SchemeParams(n_modes=6, tau=TAU)
-    sol, iters, _ = implicit_solve(rhs, p, m)
+    sol, iters, _ = solve_one(rhs, p, m)
     np.testing.assert_allclose(sol, resolvent(rhs), atol=1e-13)
     assert iters <= 2
 
@@ -90,7 +97,7 @@ def test_implicit_solve_linear_case_is_resolvent():
 def test_implicit_solve_residual_below_tolerance():
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(10)
-    sol, _, residual = implicit_solve(rhs, PARAMS, AC)
+    sol, _, residual = solve_one(rhs, PARAMS, AC)
     assert residual <= PARAMS.newton_tol
     res = hat_f(sol, PARAMS, AC) - rhs
     assert np.linalg.norm(res) <= PARAMS.newton_tol
@@ -116,7 +123,7 @@ def test_implicit_solve_1d_against_bisection():
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        sol, _, _ = implicit_solve(np.array([r]), p, AC)
+        sol, _, _ = solve_one(np.array([r]), p, AC)
         assert sol[0] == pytest.approx(oracle, abs=1e-9)
 
 
@@ -124,7 +131,7 @@ def test_newton_stalled_at_round_off_floor_is_converged():
     # rhs of 1e6: the residual bottoms out at 4.8e-10 > newton_tol, the
     # round-off floor of terms of size 1e8, and the line search runs dry
     rhs = np.full(10, 1e6)
-    sol, iters, residual = implicit_solve(rhs, PARAMS, AC)
+    sol, iters, residual = solve_one(rhs, PARAMS, AC)
     assert iters < scheme._MAX_ITER
     assert PARAMS.newton_tol < residual <= 1e-9
     res = hat_f(sol, PARAMS, AC) - rhs
@@ -170,8 +177,8 @@ def test_implicit_solve_unique_from_random_starts():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rhs = rng.standard_normal(10)
-        a, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
-        b, _, _ = implicit_solve(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
+        a, _, _ = solve_one(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
+        b, _, _ = solve_one(rhs, PARAMS, AC, guess=rng.standard_normal(10) * 3)
         assert np.max(np.abs(a - b)) <= 1e-8
 
 

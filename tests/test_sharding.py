@@ -112,26 +112,34 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, co
     assert summaries[0] == summaries[1]
 
 
-def test_failure_message_does_not_depend_on_worker_count(tmp_path):
-    # A fresh interpreter, where no test harness captures NumPy's warnings:
-    # stderr is the one failure line, whatever the worker count.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAILING, encoding="utf-8")
-    script = textwrap.dedent("""\
-        import sys
-        from spde_ergo import cli, ergodic
+# Runs the CLI at a pinned worker count: python -c FRESH_CLI <workers> <args>.
+FRESH_CLI = textwrap.dedent("""\
+    import sys
+    from spde_ergo import cli, ergodic
 
-        ergodic._cpu_count = lambda: int(sys.argv[1])
-        sys.exit(cli.main(sys.argv[2:]))
-        """)
-    env = {**os.environ, "PYTHONPATH": SRC}
+    ergodic._cpu_count = lambda: int(sys.argv[1])
+    sys.exit(cli.main(sys.argv[2:]))
+    """)
+
+
+def run_fresh(tmp_path, workers, command, text):
+    """Run a command in a fresh interpreter, where no test harness captures
+    warnings, and return the finished process."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, str(workers), command, "--config", str(cfg),
+         "--output", str(tmp_path / f"{command}-{workers}")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_failure_message_does_not_depend_on_worker_count(tmp_path):
+    # Without a harness capturing NumPy's warnings, stderr is the one
+    # failure line, whatever the worker count.
     for command in ("convolution", "simulate"):
         errs = []
-        for workers in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, workers, command, "--config", str(cfg),
-                 "--output", str(tmp_path / f"{command}-{workers}")],
-                capture_output=True, text=True, timeout=120, env=env)
+        for workers in (1, 2):
+            proc = run_fresh(tmp_path, workers, command, FAILING)
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith("numerical failure: "), proc.stderr
             assert proc.stderr.count("\n") == 1, proc.stderr
@@ -139,6 +147,16 @@ def test_failure_message_does_not_depend_on_worker_count(tmp_path):
         assert errs[0] == errs[1]
         if command == "convolution":
             assert "initial 'sine', N = 6:" in errs[0]
+
+
+@pytest.mark.parametrize("command", ["ergodic", "lyapunov"])
+def test_truncated_datum_prints_one_warning_line(tmp_path, command):
+    # CONFIG runs mix_minus at N = 6; its truncation warning is one plain
+    # line, without the library's file name and source line.
+    for workers in (1, 2):
+        proc = run_fresh(tmp_path, workers, command, CONFIG)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: initial datum mix_minus truncated to 6 modes\n"
 
 
 def test_halves_merge_to_the_one_batch_statistics():
@@ -154,8 +172,13 @@ def test_halves_merge_to_the_one_batch_statistics():
     np.testing.assert_allclose(
         res.x_moment.stderrs, x_ns.std(axis=1, ddof=1) / np.sqrt(cfg.n_paths),
         rtol=1e-12, atol=1e-16)
-    avg = np.cumsum(_FUNCTIONALS["norm_sq"](x_ns[1:]), axis=0)[-1] / cfg.n_steps
-    np.testing.assert_allclose(res.per_path_finals["norm_sq"], avg, rtol=1e-14)
+    # Each path's running time average after steps 1..n, one row per n.
+    avg = (np.cumsum(_FUNCTIONALS["norm_sq"](x_ns[1:]), axis=0)
+           / np.arange(1, cfg.n_steps + 1)[:, None])
+    series = res.time_averages["norm_sq"]
+    np.testing.assert_allclose(series.values, avg.mean(axis=1), rtol=1e-14)
+    np.testing.assert_allclose(
+        series.stderrs, avg.std(axis=1, ddof=1) / np.sqrt(cfg.n_paths), rtol=1e-14)
 
 
 def test_run_ensembles_equals_one_call_per_config():
@@ -165,10 +188,9 @@ def test_run_ensembles_equals_one_call_per_config():
         assert a.config == b.config
         np.testing.assert_array_equal(a.x_moment.values, b.x_moment.values)
         np.testing.assert_array_equal(a.x_moment.stderrs, b.x_moment.stderrs)
-        for tag in a.per_path_finals:
-            np.testing.assert_array_equal(a.per_path_finals[tag],
-                                          b.per_path_finals[tag])
-        assert len(a.per_path_finals["norm_sq"]) == a.config.n_paths
+        for tag, series in a.time_averages.items():
+            np.testing.assert_array_equal(series.values, b.time_averages[tag].values)
+            np.testing.assert_array_equal(series.stderrs, b.time_averages[tag].stderrs)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
