@@ -92,9 +92,9 @@ class RunConfig:
 
     def build_diffusion(self):
         if self.diffusion == "paper":
-            return paper_diffusion(), 3.0
+            return paper_diffusion()
         if self.diffusion == "zero":
-            return constant_diffusion(0.0), 0.0
+            return constant_diffusion(0.0)
         kind, _, value = self.diffusion.partition(":")
         if kind == "constant":
             try:
@@ -102,19 +102,19 @@ class RunConfig:
             except ValueError:
                 level = math.nan
             if math.isfinite(level):
-                return constant_diffusion(level), abs(level)
+                return constant_diffusion(level)
         raise ConfigError([f"model.diffusion must be paper, zero or "
                            f"constant:<number>, got {self.diffusion!r}"])
 
     def build_model(self) -> CoefficientModel:
-        g, k6 = self.build_diffusion()
+        g = self.build_diffusion()
         if self.model_name == "allen_cahn":
             try:
-                return allen_cahn_model(self.epsilon, diffusion=g, K6=k6)
+                return allen_cahn_model(self.epsilon, diffusion=g)
             except ValueError as exc:
                 raise ConfigError([f"model.epsilon: {exc}"]) from exc
         if self.model_name == "heat":
-            return heat_model(g, k6)
+            return heat_model(g)
         raise ConfigError([f"model.name must be allen_cahn or heat, "
                            f"got {self.model_name!r}"])
 

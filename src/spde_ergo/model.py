@@ -1,11 +1,11 @@
 """Drift/diffusion coefficient models and their Galerkin-level operators.
 
 A model bundles the scalar drift f, its derivative f', the scalar diffusion
-g, and the structural constants: one-sided Lipschitz rate K1, coercivity
-pair (K2, K3), growth pair (K4, K5) with exponent q, and the diffusion
-bound K6.  GalerkinOperators lifts f and g pointwise; its Galerkin
-projections evaluate coefficient rows on a dealiased quadrature grid with
-spectral.basis_matrix, apply the scalar function and project back.
+g, and the structural constants the scheme reads: one-sided Lipschitz
+rate K1, coercivity rate K2 and growth exponent q.  GalerkinOperators
+lifts f and g pointwise; its Galerkin projections evaluate coefficient
+rows on a dealiased quadrature grid with spectral.basis_matrix, apply the
+scalar function and project back.
 """
 
 from __future__ import annotations
@@ -36,28 +36,20 @@ ScalarFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Structural constants of the drift/diffusion pair.
+    """Structural constants of the drift that the scheme reads.
 
     K1: one-sided Lipschitz rate, (f(a)-f(b))(a-b) <= K1 (a-b)^2
-    K2, K3: coercivity, f(a) a <= K2 a^2 + K3
-    K4, K5, q: growth, |f(a)| <= K4 |a|^q + K5
-    K6: diffusion bound, 0 < |g| <= K6
+    K2: coercivity rate, f(a) a <= K2 a^2 + C for some C
+    q: growth exponent, |f(a)| <= C (|a|^q + 1) for some C
     """
 
     K1: float
     K2: float
-    K3: float
-    K4: float
-    K5: float
-    K6: float
     q: float = 1.0
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"growth exponent q must be >= 1, got {self.q}")
-        for name in ("K4", "K5", "K6"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -82,48 +74,30 @@ def constant_diffusion(value: float) -> ScalarFn:
     return lambda x: np.full_like(np.asarray(x, dtype=float), value)
 
 
-def allen_cahn_model(epsilon: float, diffusion: ScalarFn | None = None,
-                     K6: float | None = None) -> CoefficientModel:
-    """Double-well model f(x) = eps^-2 (x - x^3) with a bounded diffusion.
+def allen_cahn_model(epsilon: float, diffusion: ScalarFn | None = None) -> CoefficientModel:
+    """Double-well model f(x) = eps^-2 (x - x^3), by default with paper_diffusion.
 
-    Constants: K1 = eps^-2, K4 = 2 eps^-2, K5 = eps^-2, q = 3, and the
-    coercivity pair K2 = -1, K3 = (eps^-2 + 1)^2 / (4 eps^-2), which is the
-    maximum of eps^-2 (a^2 - a^4) + a^2 over a.
+    Constants: K1 = eps^-2, K2 = -1 and q = 3.
     """
     try:
         inv2 = epsilon**-2
-        K3 = (inv2 + 1.0) ** 2 / (4.0 * inv2)
-    except (OverflowError, ZeroDivisionError):  # eps**-2 overflows or is 0
-        K3 = math.inf
-    if not (epsilon > 0 and K3 < math.inf):
+    except (OverflowError, ZeroDivisionError):  # eps**-2 overflows, or eps is 0
+        inv2 = math.inf
+    if not (epsilon > 0 and 0.0 < inv2 < math.inf):
         raise ValueError(
-            f"epsilon must be positive with finite eps**-2 and K3, got {epsilon}")
-    if diffusion is None:
-        diffusion = paper_diffusion()
-        K6 = 3.0 if K6 is None else K6
-    elif K6 is None:
-        raise ValueError("K6 must be supplied with a custom diffusion")
-    constants = ModelConstants(
-        K1=inv2,
-        K2=-1.0,
-        K3=K3,
-        K4=2.0 * inv2,
-        K5=inv2,
-        K6=K6,
-        q=3.0,
-    )
+            f"epsilon must be positive with finite, nonzero eps**-2, got {epsilon}")
     return CoefficientModel(
         drift=lambda x: inv2 * (x - x * x * x),
         drift_deriv=lambda x: inv2 * (1.0 - 3.0 * x**2),
-        diffusion=diffusion,
-        constants=constants,
+        diffusion=paper_diffusion() if diffusion is None else diffusion,
+        constants=ModelConstants(K1=inv2, K2=-1.0, q=3.0),
     )
 
 
-def heat_model(diffusion: ScalarFn, K6: float) -> CoefficientModel:
+def heat_model(diffusion: ScalarFn) -> CoefficientModel:
     """Zero drift with the given diffusion (the linear test equation)."""
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    constants = ModelConstants(K1=0.0, K2=0.0, K3=0.0, K4=0.0, K5=0.0, K6=K6)
+    constants = ModelConstants(K1=0.0, K2=0.0)
     return CoefficientModel(drift=zero, drift_deriv=zero,
                             diffusion=diffusion, constants=constants)
 

@@ -74,7 +74,7 @@ def test_ac1_linear_stationary_oracle():
 
     cfg = EnsembleConfig(
         params=SchemeParams(n_modes=10, tau=TAU),
-        model=heat_model(constant_diffusion(1.0), 1.0),
+        model=heat_model(constant_diffusion(1.0)),
         initial="sine",
         n_paths=100,
         n_steps=20000,

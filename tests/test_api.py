@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 from types import ModuleType
 
@@ -6,6 +7,10 @@ import pytest
 
 import spde_ergo
 import spde_ergo.cli
+from spde_ergo.cli import RunConfig
+from spde_ergo.ergodic import EnsembleConfig
+from spde_ergo.model import CoefficientModel, ModelConstants
+from spde_ergo.scheme import SchemeParams
 
 RETIRED = ("PathState", "PathResult", "StepDiagnostics", "dieg_step",
            "convolution_update", "gaussian_increments",
@@ -65,3 +70,17 @@ def test_every_public_name_has_a_program_caller():
         if path.name != "__init__.py":
             used |= _program_references(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(spde_ergo.__all__) - used) == []
+
+
+def test_every_input_field_has_a_program_reader():
+    # A field that no program code loads is an input that changes nothing.
+    package = Path(spde_ergo.__file__).parent
+    loaded = {node.attr
+              for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{field.name}"
+              for cls in (ModelConstants, CoefficientModel, SchemeParams,
+                          EnsembleConfig, RunConfig)
+              for field in dataclasses.fields(cls) if field.name not in loaded]
+    assert unread == []

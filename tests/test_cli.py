@@ -153,6 +153,15 @@ def test_degenerate_epsilon_rejected_before_any_run(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
+def test_vanishing_epsilon_rejected_before_any_run(tmp_path, capsys):
+    # eps**-2 = 1e200 is a finite model, but (K1 - lambda_1) tau >= 1
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("epsilon = 0.5", "epsilon = 1e-100"))
+    assert main(["ergodic", "--config", cfg, "--output", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("diffusion = paper", "diffusion = constant:abc", "model.diffusion"),
     ("diffusion = paper", "diffusion = brownian", "model.diffusion"),
@@ -252,8 +261,7 @@ def test_semantic_errors_name_key_and_line():
 
 def test_constant_diffusion_spec():
     cfg = parse_config(TINY.replace("diffusion = paper", "diffusion = constant:0.5"))
-    g, k6 = cfg.build_diffusion()
-    assert k6 == 0.5
+    g = cfg.build_diffusion()
     import numpy as np
 
     assert g(np.array(3.0)) == 0.5

@@ -26,13 +26,13 @@ from spde_ergo.scheme import SchemeParams, run_path, run_paths_vectorized
 from spde_ergo.spectral import eigenvalues, geometric_decay_sum
 
 TAU = 0.05
-ZERO = heat_model(constant_diffusion(0.0), 0.0)  # zero drift and diffusion
+ZERO = heat_model(constant_diffusion(0.0))  # zero drift and diffusion
 
 
 def linear_cfg(**kw):
     base = dict(
         params=SchemeParams(n_modes=10, tau=TAU),
-        model=heat_model(constant_diffusion(1.0), 1.0),
+        model=heat_model(constant_diffusion(1.0)),
         initial="sine",
         n_paths=8,
         n_steps=100,
@@ -192,7 +192,7 @@ def test_stderr_survives_a_large_mean():
     # Weak noise on a deterministic decay: the variance across paths is
     # ~1e-14 of the squared mean, so mean(v**2) - mean(v)**2 keeps almost
     # none of its digits.
-    cfg = linear_cfg(model=heat_model(constant_diffusion(1e-7), 1e-7),
+    cfg = linear_cfg(model=heat_model(constant_diffusion(1e-7)),
                      initial="mix_plus", n_paths=12, n_steps=30)
     res = run_ensemble(cfg)
     finals = per_path_finals(cfg)

@@ -40,8 +40,19 @@ def noise_matrix(c, model, q):
     return ops.noise(np.tile(c, (c.size, 1)), np.eye(c.size)).T
 
 
-def check_sampled(constants, drift, diffusion):
-    """Violations of the four structural inequalities on a deterministic grid."""
+def paper_bounds(eps):
+    """The paper's Allen-Cahn constants (K3, K4, K5, K6) that the scheme does
+    not read: f(a) a <= K2 a^2 + K3 with K3 the maximum of
+    eps^-2 (a^2 - a^4) + a^2, |f(a)| <= K4 |a|^q + K5, and |g| <= K6 for
+    paper_diffusion."""
+    inv2 = eps**-2
+    return (inv2 + 1.0) ** 2 / (4.0 * inv2), 2.0 * inv2, inv2, 3.0
+
+
+def check_sampled(constants, bounds, drift, diffusion):
+    """Violations of the four structural inequalities on a deterministic grid;
+    bounds is (K3, K4, K5, K6) as paper_bounds returns it."""
+    K3, K4, K5, K6 = bounds
     xi = np.linspace(-10.0, 10.0, 201)
     f = np.asarray(drift(xi), dtype=float)
     g = np.asarray(diffusion(xi), dtype=float)
@@ -51,11 +62,11 @@ def check_sampled(constants, drift, diffusion):
     diff_x = xi[:, None] - xi[None, :]
     if np.max(diff_f * diff_x - constants.K1 * diff_x**2) > tol:
         msgs.append("one-sided Lipschitz bound K1 violated on sample grid")
-    if np.max(f * xi - constants.K2 * xi**2 - constants.K3) > tol:
+    if np.max(f * xi - constants.K2 * xi**2 - K3) > tol:
         msgs.append("coercivity bound (K2, K3) violated on sample grid")
-    if np.max(np.abs(f) - constants.K4 * np.abs(xi) ** constants.q - constants.K5) > tol:
+    if np.max(np.abs(f) - K4 * np.abs(xi) ** constants.q - K5) > tol:
         msgs.append("growth bound (K4, K5, q) violated on sample grid")
-    if np.max(np.abs(g)) > constants.K6 + 1e-12:
+    if np.max(np.abs(g)) > K6 + 1e-12:
         msgs.append("diffusion bound K6 violated on sample grid")
     if np.min(np.abs(g)) <= 0.0:
         msgs.append("diffusion vanishes on sample grid")
@@ -80,31 +91,30 @@ def test_allen_cahn_drift_values(ac_model):
 def test_allen_cahn_constants(ac_model):
     k = ac_model.constants
     assert k.K1 == pytest.approx(4.0)
-    assert k.K4 == pytest.approx(8.0)
-    assert k.K5 == pytest.approx(4.0)
     assert k.q == 3.0
     assert k.K2 == -1.0
-    assert k.K3 == pytest.approx(25 / 16)
+    assert paper_bounds(EPS) == pytest.approx((25 / 16, 8.0, 4.0, 3.0))
 
 
 def test_allen_cahn_coercivity_constant_is_tight(ac_model):
     # K3 = max over a of eps^-2 (a^2 - a^4) + a^2 when K2 = -1
     a = np.linspace(-10, 10, 100001)
     lhs = ac_model.drift(a) * a
-    rhs = -(a**2) + ac_model.constants.K3
+    rhs = -(a**2) + paper_bounds(EPS)[0]
     assert np.max(lhs - rhs) <= 1e-9
     # tight: attained within grid resolution
     assert np.max(lhs - rhs) >= -1e-3
 
 
 def test_allen_cahn_sampled_constants_pass(ac_model):
-    assert check_sampled(ac_model.constants, ac_model.drift, ac_model.diffusion) == []
+    assert check_sampled(ac_model.constants, paper_bounds(EPS), ac_model.drift,
+                         ac_model.diffusion) == []
 
 
 @pytest.mark.parametrize("g", [lambda x: np.zeros_like(x), lambda x: x],
                          ids=["zero", "sign-changing"])
 def test_check_sampled_flags_vanishing_diffusion(ac_model, g):
-    msgs = check_sampled(ac_model.constants, ac_model.drift, g)
+    msgs = check_sampled(ac_model.constants, paper_bounds(EPS), ac_model.drift, g)
     assert "diffusion vanishes on sample grid" in msgs
 
 
@@ -113,10 +123,12 @@ def test_allen_cahn_rejects_bad_epsilon():
         allen_cahn_model(0.0)
     with pytest.raises(ValueError):
         allen_cahn_model(-1.0)
-    # eps**-2 underflows to 0, is NaN, or K3 = (eps**-2 + 1)**2 / ... overflows
-    for eps in (math.inf, 1e200, math.nan, 1e-100):
+    # eps**-2 underflows to 0 or is NaN
+    for eps in (math.inf, 1e200, math.nan):
         with pytest.raises(ValueError):
             allen_cahn_model(eps)
+    # eps**-2 = 1e200 is finite; the step constraint refuses the stiff drift
+    assert not validate_step_constraint(allen_cahn_model(1e-100).constants, 0.05).ok
 
 
 def test_drift_derivative_matches_finite_differences(ac_model):
@@ -151,12 +163,12 @@ def test_step_constraint_rejects_stiff_drift():
 def test_step_constraint_rejects_large_k2():
     from spde_ergo.model import ModelConstants
 
-    k = ModelConstants(K1=0.0, K2=LAM1, K3=0.0, K4=0.0, K5=0.0, K6=1.0)
+    k = ModelConstants(K1=0.0, K2=LAM1)
     assert not validate_step_constraint(k, 0.05).ok
 
 
 def test_nemytskii_drift_zero():
-    m = heat_model(constant_diffusion(0.0), 0.0)
+    m = heat_model(constant_diffusion(0.0))
     out = drift(np.array([0.3, -0.2, 0.1]), m, 12)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
@@ -193,8 +205,7 @@ def test_jacobian_linear_drift_is_identity_multiple():
         drift=lambda x: alpha * x,
         drift_deriv=lambda x: np.full_like(x, alpha),
         diffusion=constant_diffusion(1.0),
-        constants=ModelConstants(K1=alpha, K2=alpha, K3=0.0, K4=alpha, K5=0.0,
-                                 K6=1.0, q=1.0),
+        constants=ModelConstants(K1=alpha, K2=alpha, q=1.0),
     )
     jac = jacobian(np.array([0.2, -0.4, 0.1]), m)
     np.testing.assert_allclose(jac, alpha * np.eye(3), atol=1e-12)
@@ -228,7 +239,7 @@ def test_noise_matrix_constant_g_at_rest(ac_model):
 
 
 def test_noise_matrix_zero_g():
-    mat = noise_matrix(np.ones(3), heat_model(constant_diffusion(0.0), 0.0), 8)
+    mat = noise_matrix(np.ones(3), heat_model(constant_diffusion(0.0)), 8)
     np.testing.assert_allclose(mat, 0.0, atol=1e-15)
 
 
@@ -260,15 +271,15 @@ def test_monotonicity_transfer(ac_model):
 def test_coercivity_transfer(ac_model):
     rng = np.random.default_rng(22)
     n, q = 6, default_quadrature(6, ac_model.constants)
-    k = ac_model.constants
+    k2, k3 = ac_model.constants.K2, paper_bounds(EPS)[0]
     for _ in range(1000):
         x = rng.standard_normal(n)
         lhs = float(x @ drift(x, ac_model, q))
-        assert lhs <= k.K2 * float(x @ x) + k.K3 + 1e-8
+        assert lhs <= k2 * float(x @ x) + k3 + 1e-8
 
 
 def test_heat_model_is_linear():
-    m = heat_model(constant_diffusion(1.0), 1.0)
+    m = heat_model(constant_diffusion(1.0))
     out = drift(np.array([1.0, 2.0]), m, 8)
     np.testing.assert_allclose(out, 0.0)
     assert validate_step_constraint(m.constants, 0.5).ok

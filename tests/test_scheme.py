@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spde_ergo import scheme
-from spde_ergo.ergodic import initial_datum
+from spde_ergo.ergodic import _one_blas_thread, initial_datum
 from spde_ergo.model import (
     GalerkinOperators,
     allen_cahn_model,
@@ -31,7 +31,7 @@ from spde_ergo.spectral import eigenvalues, geometric_decay_sum, resolvent_facto
 TAU = 0.05
 PARAMS = SchemeParams(n_modes=10, tau=TAU)
 AC = allen_cahn_model(0.5)
-ZERO = heat_model(constant_diffusion(0.0), 0.0)  # zero drift and diffusion
+ZERO = heat_model(constant_diffusion(0.0))  # zero drift and diffusion
 
 
 def resolvent(c):
@@ -138,7 +138,7 @@ def test_newton_stalled_at_round_off_floor_is_converged():
     assert np.linalg.norm(res) == pytest.approx(residual, rel=1e-12)
     # in a noiseless engine step the stalled row is accepted while the
     # other row converges
-    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0), K6=0.0)
+    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0))
     seen = []
     run_paths_vectorized(np.stack([rhs, np.ones(10)]), 1, PARAMS, g0, 0, 2,
                          observers=(lambda step, x, w: seen.append(x.copy()),))
@@ -150,7 +150,7 @@ def test_newton_stuck_above_floor_still_fails():
     # f' of the wrong sign and size makes every Newton step an ascent
     # direction, so the line search runs dry far above the round-off floor;
     # the drift -200u stops the resolvent sweeps at their first sweep
-    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -200.0 * u,
+    m = replace(heat_model(constant_diffusion(0.0)), drift=lambda u: -200.0 * u,
                 drift_deriv=lambda u: np.full_like(u, 2000.0))
     x0 = np.zeros((2, 10))
     x0[1] = 0.5
@@ -224,7 +224,7 @@ def test_dieg_step_deterministic_heat():
 
 
 def test_dieg_step_noiseless_allen_cahn_repeatable():
-    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0), K6=0.0)
+    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0))
     x0 = np.full(10, 0.3)
     runs = []
     for _ in range(2):
@@ -273,7 +273,7 @@ def test_convolution_recursion_equals_direct_sum():
 
 def test_convolution_variance_matches_geometric_sum():
     # g = 1, f = 0: Var(W_{j,n}) = tau * geometric_decay_sum(lam_n, tau, j)
-    m = heat_model(constant_diffusion(1.0), 1.0)
+    m = heat_model(constant_diffusion(1.0))
     p = SchemeParams(n_modes=5, tau=TAU)
     n_paths, j_target = 10**4, 40
     collected = {}
@@ -291,7 +291,7 @@ def test_convolution_variance_matches_geometric_sum():
 
 
 def test_random_pde_residual_deterministic_case():
-    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0), K6=0.0)
+    g0 = allen_cahn_model(0.5, diffusion=constant_diffusion(0.0))
     traj_x, traj_w = [], []
 
     def rec(step, x, w):
@@ -305,7 +305,7 @@ def test_random_pde_residual_deterministic_case():
 
 def test_random_pde_residual_linear_case_vanishes():
     # f = 0: both recursions are linear and cancel exactly
-    m = heat_model(constant_diffusion(1.0), 1.0)
+    m = heat_model(constant_diffusion(1.0))
     p = SchemeParams(n_modes=6, tau=TAU)
     traj_x, traj_w = [], []
 
@@ -368,7 +368,7 @@ def test_run_path_identical_seeds_bitwise():
 def test_run_path_nonconvergence_keeps_partial_records():
     # unit noise on a linear drift that is NaN above 0.4: this path's state
     # first crosses 0.4 at step 8, whose solve then stalls at the edge
-    m = replace(heat_model(constant_diffusion(1.0), 1.0),
+    m = replace(heat_model(constant_diffusion(1.0)),
                 drift=lambda u: np.where(u > 0.4, np.nan, -u),
                 drift_deriv=lambda u: -np.ones_like(u))
     seen = []
@@ -514,7 +514,7 @@ def test_run_path_is_one_row_of_engine_run():
 
 def test_nan_residual_is_never_converged():
     # zero noise; the drift is NaN wherever the state exceeds 0.5
-    m = replace(heat_model(constant_diffusion(0.0), 0.0),
+    m = replace(heat_model(constant_diffusion(0.0)),
                 drift=lambda u: np.where(u > 0.5, np.nan, -u),
                 drift_deriv=lambda u: -np.ones_like(u))
     x0 = np.zeros((2, 10))
@@ -538,7 +538,7 @@ def test_newton_out_of_iterations_names_its_path():
     # a Newton matrix 100 times too large cuts the residual by about 1 % per
     # iteration, so the budget runs out far above the tolerance; the row at
     # 0 is solved already
-    m = replace(heat_model(constant_diffusion(0.0), 0.0), drift=lambda u: -200.0 * u,
+    m = replace(heat_model(constant_diffusion(0.0)), drift=lambda u: -200.0 * u,
                 drift_deriv=lambda u: np.full_like(u, -20000.0))
     x0 = np.zeros((2, 10))
     x0[1] = 0.5
@@ -554,7 +554,7 @@ def test_newton_out_of_iterations_names_its_path():
 def test_overflowed_residual_is_never_at_the_floor():
     # noise of size 1e200 overflows the residual's squared norm to inf, and
     # the round-off floor of such a row is inf too
-    m = allen_cahn_model(0.5, diffusion=constant_diffusion(1e200), K6=1e200)
+    m = allen_cahn_model(0.5, diffusion=constant_diffusion(1e200))
     p = SchemeParams(n_modes=6, tau=TAU)
     with np.errstate(all="ignore"), pytest.raises(NonConvergenceError) as exc:
         run_paths_vectorized(np.zeros(6), 3, p, m, 11, 1, first_path_index=2)
@@ -581,10 +581,42 @@ def test_singular_newton_system_names_its_path(monkeypatch):
 
 def test_coupled_pair_shares_increments():
     # with f = 0 the chain equals x-homogeneous part plus the convolution
-    m = heat_model(constant_diffusion(1.0), 1.0)
+    m = heat_model(constant_diffusion(1.0))
     p = SchemeParams(n_modes=5, tau=TAU)
     x0 = np.array([1.0, 0.5, -0.2, 0.1, 0.0])
     x, w = run_states(x0, 30, p, m, NoiseStream(8))[30]
     factors = 1 / (1 + TAU * eigenvalues(5))
     homogeneous = factors**30 * x0
     np.testing.assert_allclose(x, homogeneous + w, atol=1e-12)
+
+
+def test_spatial_convergence_on_shared_noise():
+    # A noise block's first N values do not depend on how many are drawn, so
+    # runs at N and 2N from one seed share one Brownian path, and the mean
+    # of ||X^N - X^2N||^2 is a pathwise truncation error. It is about the
+    # stationary variance of the modes N < n <= 2N that the coarse run drops:
+    # tau E[g^2] T(N), T(N) = sum 1/((1 + tau lam_n)^2 - 1) over those modes.
+    # Hence 1 <= error / (tau T(N)) <= 9 for 1 <= g <= 3, and each doubling
+    # of N divides the error by T(N) / T(2N) (6.4, 7.2, 7.6; 8 as N grows).
+    n_paths = 200
+    finals = {}
+    with _one_blas_thread():  # OpenBLAS's threads slow N = 20 several-fold
+        for n in (5, 10, 20, 40, 80):
+            run_paths_vectorized(initial_datum("sine", n), 20,
+                                 SchemeParams(n_modes=n, tau=TAU), AC, 2024, n_paths,
+                                 observers=(lambda step, x, w: finals.update({n: x.copy()}),))
+    lam = eigenvalues(160)
+    per_mode = TAU / ((1.0 + TAU * lam) ** 2 - 1.0)
+    err, rel, theory = {}, {}, {}
+    for n in (5, 10, 20, 40):
+        diff = finals[2 * n].copy()
+        diff[:, :n] -= finals[n]
+        sq = np.sum(diff**2, axis=1)
+        err[n] = sq.mean()
+        rel[n] = sq.std(ddof=1) / math.sqrt(n_paths) / err[n]
+        theory[n] = per_mode[n:2 * n].sum()
+        assert 1.0 <= err[n] / theory[n] <= 9.0, (n, err[n] / theory[n])
+    for n in (5, 10, 20):
+        ratio, want = err[n] / err[2 * n], theory[n] / theory[2 * n]
+        tol = 3.0 * math.hypot(rel[n], rel[2 * n])
+        assert abs(ratio / want - 1.0) <= tol, (n, ratio, want)
