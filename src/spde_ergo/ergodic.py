@@ -21,9 +21,10 @@ Results are a pure function of (master_seed, config) and do not depend on W.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -298,85 +299,51 @@ def _cpu_count() -> int:
         return 1
 
 
-# The halves a forked worker runs; set by _adopt in the worker only.
-_WORKER_HALVES: list[_Half] = []
-
-
-def _adopt(halves: list[_Half]) -> None:
-    global _WORKER_HALVES
-    _WORKER_HALVES = halves
-
-
-def _run_worker_share(share: list[int]) -> list:
-    return [_run_half(_WORKER_HALVES[h]) for h in share]
-
-
-def _openblas_threads():
-    """OpenBLAS's (get, set) thread-count calls as numpy's own library links
-    them, or None if numpy's BLAS is another library."""
-    import ctypes
-
-    core = getattr(np, "_core", None) or np.core
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    # The names in numpy's wheels, then in a system OpenBLAS.
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-        get = getattr(lib, name.format("get"), None)
-        set_threads = getattr(lib, name.format("set"), None)
-        if get is not None and set_threads is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get, set_threads
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS, the BLAS of numpy's wheels, at one thread meanwhile.
-
-    W processes on W cores each running OpenBLAS's own threads oversubscribe
-    the cores: on a 2-core host at the default BLAS thread count, two
-    processes at the paper shape ran about twice as slow as one (see
-    BENCH_sharding.json). Forked workers inherit the setting, and it holds
-    for every W, so every W computes under the same BLAS setting. Other
-    BLAS libraries are left as they are.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_threads = calls
-    old = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
-
-
 def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
-    """Run share 0 here and every other share in a forked worker process.
+    """Run share 0 here and every other share in a forked child process.
 
-    Fork, not spawn: the configs reach the workers through it, because
-    models hold lambdas and do not pickle; only share indices, statistics
-    and errors are pickled. This process runs no other thread at the fork:
-    OpenBLAS's fork handler stops its threads first, and the pool starts its
-    manager thread after forking its workers.
+    Fork, not spawn: models hold lambdas and do not pickle; no other thread
+    runs here at the fork. A child pickles its results, or the exception it
+    raised (raised again here, as at W = 1), into a pipe and leaves by
+    os._exit; one that sends nothing raises EnsembleError for its first
+    ensemble. If this process raises, every child is killed and reaped first.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(
-            len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt, initargs=(halves,)) as pool:
-        futures = [pool.submit(_run_worker_share, share) for share in shares[1:]]
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        try:
+                            pickle.dump([_run_half(halves[h]) for h in share], pipe)
+                        except Exception as exc:
+                            pickle.dump(exc, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), share))
         out = {h: _run_half(halves[h]) for h in shares[0]}
-        for share, future in zip(shares[1:], futures):
-            try:
-                out.update(zip(share, future.result()))
-            except BrokenProcessPool as exc:
-                raise EnsembleError(_label(halves[min(share)].cfg), exc) from exc
-    return out
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if not payload:
+                raise EnsembleError(_label(halves[min(share)].cfg), ChildProcessError(
+                    f"worker exited with status {code} and sent nothing"))
+            results = pickle.loads(payload)
+            if isinstance(results, Exception):
+                raise results
+            out.update(zip(share, results))
+        return out
+    finally:
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
@@ -385,9 +352,8 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     Each ensemble runs as N_HALVES fixed halves of its paths. The halves,
     in config order, are dealt round-robin to
     W = min(cores in the affinity mask, halves) processes: this one and
-    W - 1 forked workers, all with OpenBLAS at one thread. Each ensemble's
-    halves merge in ascending path order, so the results are a pure
-    function of the configs, whatever W. A failure raises EnsembleError for
+    W - 1 forked workers. Each ensemble's halves merge in ascending path
+    order, so the results are a pure function of the configs, whatever W. A failure raises EnsembleError for
     the first failing ensemble in config order, caused by its Newton
     failure at the smallest (step, path); a worker that dies raises it for
     the first ensemble of its share.
@@ -402,9 +368,7 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
         halves += [_Half(cfg, x0, a, b) for a, b in zip(cuts, cuts[1:])]
     n_workers = max(1, min(_cpu_count(), len(halves)))
     shares = [list(range(s, len(halves), n_workers)) for s in range(n_workers)]
-    with _one_blas_thread():
-        out = ({h: _run_half(halves[h]) for h in shares[0]} if n_workers == 1
-               else _run_forked(halves, shares))
+    out = _run_forked(halves, shares)
 
     results = []
     for cfg, span in zip(cfgs, spans):

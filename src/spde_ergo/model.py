@@ -28,6 +28,7 @@ __all__ = [
     "heat_model",
     "validate_step_constraint",
     "default_quadrature",
+    "drift_quadrature",
     "GalerkinOperators",
 ]
 
@@ -129,7 +130,7 @@ def validate_step_constraint(constants: ModelConstants, tau: float) -> StepConst
 
 
 def default_quadrature(n_modes: int, constants: ModelConstants) -> int:
-    """Dealiased quadrature size for Galerkin dimension N: max((d + 1) N, 2N + 1).
+    """Noise quadrature size for Galerkin dimension N: max((d + 1) N, 2N + 1).
 
     Two aliasing floors: a degree-d drift (d = ceil(q)) of a bandwidth-N
     state, paired with a test mode, has sine bandwidth (d + 1) N; the noise
@@ -139,6 +140,13 @@ def default_quadrature(n_modes: int, constants: ModelConstants) -> int:
     return max((math.ceil(constants.q) + 1) * n_modes, 2 * n_modes + 1)
 
 
+def drift_quadrature(n_modes: int, constants: ModelConstants) -> int:
+    """Smallest Q >= 2N at which P_N F and its Jacobian are exact: on Q nodes
+    mode m aliases to 2(Q + 1) - m, so the modes m <= dN of a degree-d drift
+    land above N once 2(Q + 1) > (d + 1) N. Q = 2N for the cubic."""
+    return max((math.ceil(constants.q) + 1) * n_modes // 2, 2 * n_modes)
+
+
 class GalerkinOperators:
     """Galerkin projections of the Nemytskii operators, acting on rows.
 
@@ -146,9 +154,9 @@ class GalerkinOperators:
     coefficient vectors, lifts them to the Q interior quadrature nodes,
     applies f or g pointwise and projects back with weight 1/(Q+1).
     A single coefficient vector is a one-row array. The drift of a degree-d
-    polynomial f is exact once Q reaches the drift floor (d + 1) N, and the
-    scheme uses default_quadrature. Q must reach the noise floor 2N, below
-    which even a constant coefficient aliases.
+    polynomial f is exact from Q = drift_quadrature on; the scheme projects
+    g, which is not polynomial, on default_quadrature. Q must reach the
+    noise floor 2N, below which even a constant coefficient aliases.
     """
 
     def __init__(self, model: CoefficientModel, n_modes: int, q_nodes: int):

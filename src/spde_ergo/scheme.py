@@ -14,6 +14,9 @@ is exposed as a consistency diagnostic.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,6 +27,7 @@ from .model import (
     CoefficientModel,
     GalerkinOperators,
     default_quadrature,
+    drift_quadrature,
     validate_step_constraint,
 )
 from .noise import NoiseStream, PhiloxBlockSource
@@ -80,8 +84,8 @@ def _at(step: int | None, path: int | None) -> str:
 class SchemeParams:
     """Everything fixing one DIEG discretization.
 
-    N is the one resolution: the noise has N modes and the quadrature is
-    the model's dealiasing floor, default_quadrature(N, constants).
+    N is the one resolution: the noise has N modes, the drift is projected
+    on drift_quadrature nodes and the noise on default_quadrature.
     """
 
     n_modes: int
@@ -112,8 +116,10 @@ class _Workspace(GalerkinOperators):
 
     def __init__(self, params: SchemeParams, model: CoefficientModel):
         params.validate(model)
-        super().__init__(model, params.n_modes,
-                         default_quadrature(params.n_modes, model.constants))
+        n = params.n_modes
+        super().__init__(model, n, drift_quadrature(n, model.constants))
+        # No grid projects the non-polynomial g exactly; it keeps the finer one.
+        self.noise = GalerkinOperators(model, n, default_quadrature(n, model.constants)).noise
         self.tau = params.tau
         self.one_plus = 1.0 + self.tau * eigenvalues(self.n)
         self.res_factors = resolvent_factors(self.n, self.tau)
@@ -126,6 +132,8 @@ class _Workspace(GalerkinOperators):
         np.multiply((b[:, :, None] * b[:, None, :]).reshape(q, -1),
                     self.weight, out=self._products[:-1])
         self._products[-1, ::self.n + 1] = self.one_plus
+        self.k = k = min(n, _LOW_MODES)  # a split Newton step's low block
+        self._low_products = self._products.reshape(q + 1, n, n)[:, :k, :k].reshape(q + 1, -1)
         # The sweeps take tau P_N F(x) as model.drift(x @ basis.T) @ _tau_proj,
         # two passes fewer than tau * drift(x); residual keeps drift's own
         # rounding, which Newton's round-off floor is judged against.
@@ -139,14 +147,17 @@ class _Workspace(GalerkinOperators):
         fp = self.model.drift_deriv(x @ self.basis.T)
         return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
-    def newton_matrix(self, x: np.ndarray) -> np.ndarray:
-        """(P, N, N) stack of diag(1 + tau Lambda) - tau J(x) at each row."""
+    def newton_matrix(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
+        """(P, k, k) stack of the leading k x k block of
+        diag(1 + tau Lambda) - tau J(x) at each row; k is N or self.k."""
+        k = k or self.n
         q = len(self._products) - 1
         coef = np.empty((len(x), q + 1))
         np.multiply(self.model.drift_deriv(x @ self.basis.T), -self.tau,
                     out=coef[:, :q])
         coef[:, q] = 1.0
-        return (coef @ self._products).reshape(len(x), self.n, self.n)
+        table = self._products if k == self.n else self._low_products
+        return (coef @ table).reshape(len(x), k, k)
 
     def _sweep(self, rhs: np.ndarray,
                guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,20 +206,34 @@ class _Workspace(GalerkinOperators):
                first_path: int | None = None) -> tuple[np.ndarray, int, float]:
         """Solve every row of F_hat(x) = rhs: sweeps, then damped Newton.
 
+        A split step solves the low k x k block of the Newton matrix and
+        divides the other modes by diag(1 + tau Lambda) (two-grid Newton: Xu,
+        SIAM J. Numer. Anal. 33, 1996). A row whose split step leaves over
+        _SPLIT_RATIO of its residual, and every row when k = N, takes full steps.
         Returns (x, iterations, largest final residual norm). A failure
         names the first failing row as path first_path + row.
         """
-        def first(rows):
-            row = int(np.flatnonzero(rows)[0])
-            return row, None if first_path is None else first_path + row
+        def path(row):
+            return None if first_path is None else first_path + int(row)
 
         def failure(rows, residuals, iterations):
-            row, path = first(rows)
+            row = np.flatnonzero(rows)[0]
             return NonConvergenceError(float(residuals[row]), iterations,
-                                       step=step, path=path)
+                                       step=step, path=path(row))
+
+        def solve(rows, x_rows, b):
+            # Steps of x's rows from their k x k blocks, k = len(b[0]).
+            mats = self.newton_matrix(x_rows, b.shape[1])
+            try:
+                return np.linalg.solve(mats, b[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                # slogdet flags the same exact zero pivot of the LU as solve.
+                row = rows[np.argmax(np.linalg.slogdet(mats)[0] == 0)]
+                raise SingularLinearSolveError(step, path(row)) from exc
 
         x, res, rnorm = self._sweep(rhs, guess)
         at_floor = np.zeros(len(x), dtype=bool)
+        full = np.full(len(x), self.k == self.n)  # rows on full N x N steps
         iters = 0
         while True:
             # A NaN residual compares false, so it stays active.
@@ -224,16 +249,14 @@ class _Workspace(GalerkinOperators):
             else:
                 x_act, res_act = x[active], res[active]
                 rhs_act, rn_act = rhs[active], rnorm[active]
-            try:
-                delta = np.linalg.solve(self.newton_matrix(x_act),
-                                        -res_act[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                # slogdet flags the same exact zero pivot of the LU as solve.
-                sign, _ = np.linalg.slogdet(self.newton_matrix(x_act))
-                singular = np.zeros_like(active)
-                singular[active] = sign == 0
-                _, path = first(singular if singular.any() else active)
-                raise SingularLinearSolveError(step, path) from exc
+            if self.k == self.n:
+                delta = solve(np.flatnonzero(active), x_act, -res_act)
+            else:
+                delta = res_act / -self.one_plus
+                for rows, k in ((~full[active], self.k), (full[active], self.n)):
+                    if rows.any():
+                        delta[rows, :k] = solve(np.flatnonzero(active)[rows], x_act[rows],
+                                                -res_act[rows, :k])
             # Damped update: halve each row's step until its residual decreases.
             scale = np.ones(n_active)
             x_try = x_act + delta
@@ -253,13 +276,17 @@ class _Workspace(GalerkinOperators):
                 floor = _FLOOR_EPS * np.finfo(float).eps * (
                     _row_norms(self.one_plus * x_act) + _row_norms(rhs_act)
                     + self.tau * _row_norms(self.drift(x_act)))
+                ok = (rn_act <= floor) & np.isfinite(rn_act)
+                # A split row that runs dry takes the full step next.
                 failed = np.zeros_like(active)
-                failed[active] = stuck & ~((rn_act <= floor) & np.isfinite(rn_act))
+                failed[active] = stuck & ~ok & full[active]
                 if failed.any():
                     raise failure(failed, rnorm, iters + 1)
-                at_floor[active] = stuck
+                at_floor[active] = stuck & ok
                 x_try[stuck], res_try[stuck] = x_act[stuck], res_act[stuck]
                 rn_try[stuck] = rn_act[stuck]
+            if self.k < self.n:
+                full[active] |= ~(rn_try <= _SPLIT_RATIO * rn_act)
             if every:
                 x, res, rnorm = x_try, res_try, rn_try
             else:
@@ -271,8 +298,8 @@ class _Workspace(GalerkinOperators):
 
 
 # Newton iterations before a row that is still above tol has failed. F_hat
-# is strictly monotone, so the cap only guards; the worst step of a
-# 1500-run boundary fuzz (eps down to 0.185, amplitude up to 20) took 13.
+# is strictly monotone, so the cap only guards; in three 1500-run boundary
+# fuzzes (eps >= 0.185, amplitude <= 20, N <= 40) the worst step took 21.
 _MAX_ITER = 50
 
 # A residual within this many machine epsilons times the scale of its terms
@@ -290,10 +317,49 @@ _FLOOR_EPS = 8.0
 _SWEEPS = 4
 _SWEEP_RATIO = 0.8
 
+# Modes whose block of the Newton matrix a split step solves exactly; past
+# them tau lambda_n >= 60 (tau = 0.05) dominates. Blocks of 6 to 16 modes
+# step 100 rows at N = 40 in 39-55 ms, full Newton in 97 ms (16 steps, 2-core
+# Xeon, one BLAS thread); 10 keeps N <= 10, the paper preset, on full Newton.
+_LOW_MODES = 10
+
+# A split step must cut a row's residual to this share or the row takes full
+# steps. 0.1 to 0.8 run alike; in the test's one-step probe the worst row took
+# 12, 18 and 28 iterations at 0.1, 0.5 and 0.8, and 4 of 18 cases failed
+# without the fallback.
+_SPLIT_RATIO = 0.5
+
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     # np.linalg.norm(a, axis=1) without its per-call overhead; same rounding.
     return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count calls as numpy's own library links
+    them, or None if numpy's BLAS is another library."""
+    lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    # The names in numpy's wheels, then in a system OpenBLAS.
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, set_threads = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get is not None and set_threads is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread meanwhile: at a 2-core host's default count
+    200 paths at N = 20 stepped 7x slower, and W processes oversubscribe it."""
+    get, set_threads = _openblas_threads() or (lambda: 0, lambda threads: None)
+    old = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 def random_pde_residual(traj_x: Sequence, traj_w: Sequence,
@@ -330,7 +396,8 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     from 0 at x0. Step j draws the noise block (first_step + j) of each
     path, so the result is a pure function of (master_seed, config)
     regardless of batching. A Newton failure raises NonConvergenceError
-    naming the (path, step) of the first failing row.
+    naming the (path, step) of the first failing row. OpenBLAS is held at
+    one thread while the paths step.
 
     Returns (max Newton iterations over steps, max final residual).
     """
@@ -349,21 +416,22 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     w = np.zeros_like(x)
     source = PhiloxBlockSource(master_seed)
     sqrt_tau = math.sqrt(ws.tau)
-    for obs in observers:
-        obs(0, x, w)
     max_iters = 0
     max_res = 0.0
-    for j in range(n_steps):
-        dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
-                                          first_step + j, ws.n)
-        # One DIEG step of every row; chain and convolution share the noise.
-        noise = ws.noise(x, dbeta)
-        x, iters, res = ws.newton(x + noise, x, j, first_path_index)
-        w = ws.res_factors * (w + noise)
-        max_iters = max(max_iters, iters)
-        max_res = max(max_res, res)
+    with _one_blas_thread():
         for obs in observers:
-            obs(j + 1, x, w)
+            obs(0, x, w)
+        for j in range(n_steps):
+            dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
+                                              first_step + j, ws.n)
+            # One DIEG step of every row; chain and convolution share the noise.
+            noise = ws.noise(x, dbeta)
+            x, iters, res = ws.newton(x + noise, x, j, first_path_index)
+            w = ws.res_factors * (w + noise)
+            max_iters = max(max_iters, iters)
+            max_res = max(max_res, res)
+            for obs in observers:
+                obs(j + 1, x, w)
     return max_iters, max_res
 
 

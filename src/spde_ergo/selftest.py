@@ -109,7 +109,7 @@ def _suite_cubic_projection(rng) -> tuple[bool, str]:
     # for f = 4(u - u^3) and x = a e_1 the projection has the closed form
     # (4a - 6a^3, 0, 2a^3, 0), from int sin^4 = 3/8, int sin^3 sin(3.) = -1/8
     model, params = _paper_setup()
-    ops = _Workspace(replace(params, n_modes=4), model)  # quadrature 16
+    ops = _Workspace(replace(params, n_modes=4), model)  # drift quadrature 8
     worst = 0.0
     for _ in range(20):
         a = float(rng.uniform(-2.0, 2.0))

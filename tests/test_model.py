@@ -8,6 +8,7 @@ from spde_ergo.model import (
     allen_cahn_model,
     constant_diffusion,
     default_quadrature,
+    drift_quadrature,
     heat_model,
     paper_diffusion,
     validate_step_constraint,
@@ -186,6 +187,28 @@ def test_nemytskii_drift_single_mode_cubic(ac_model, a):
 def test_nemytskii_drift_quadrature_floor_enforced(ac_model):
     # the drift floor (3+1)*4 = 16 is above the noise floor 2*4 + 1 = 9
     assert default_quadrature(4, ac_model.constants) == 16
+
+
+def test_drift_quadrature_is_the_exact_floor(ac_model):
+    # the engine's drift grid: 2N nodes for the cubic, where the projection
+    # matches an 8N + 3 oracle; a quintic needs 3N and aliases at 3N - 1
+    from spde_ergo.model import CoefficientModel, ModelConstants
+
+    assert drift_quadrature(4, ac_model.constants) == 8
+    rng = np.random.default_rng(6)
+    for n in (1, 6, 20, 40):
+        c = rng.uniform(-2.0, 2.0, n)
+        exact = drift(c, ac_model, 8 * n + 3)
+        np.testing.assert_allclose(drift(c, ac_model, 2 * n), exact, rtol=0,
+                                   atol=1e-13 * np.abs(exact).max())
+    quintic = CoefficientModel(drift=lambda u: u**5, drift_deriv=lambda u: 5 * u**4,
+                               diffusion=constant_diffusion(1.0),
+                               constants=ModelConstants(K1=0.0, K2=0.0, q=5.0))
+    c = rng.uniform(-1.0, 1.0, 6)
+    exact = drift(c, quintic, 8 * 6 + 3)
+    assert drift_quadrature(6, quintic.constants) == 18
+    np.testing.assert_allclose(drift(c, quintic, 18), exact, rtol=0, atol=1e-13)
+    assert np.abs(drift(c, quintic, 17) - exact).max() > 1e-6
 
 
 def test_nemytskii_drift_exact_at_floor(ac_model):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spde_ergo import scheme
-from spde_ergo.ergodic import _one_blas_thread, initial_datum
+from spde_ergo.ergodic import initial_datum
 from spde_ergo.model import (
     GalerkinOperators,
     allen_cahn_model,
     constant_diffusion,
-    default_quadrature,
+    drift_quadrature,
     heat_model,
 )
 from spde_ergo.noise import NoiseStream
@@ -40,8 +40,9 @@ def resolvent(c):
 
 
 def drift_ops(params, model):
+    """The drift on the engine's grid, whose rounding Newton's floor judges."""
     return GalerkinOperators(model, params.n_modes,
-                             default_quadrature(params.n_modes, model.constants))
+                             drift_quadrature(params.n_modes, model.constants))
 
 
 def hat_f(x, params, model):
@@ -396,6 +397,22 @@ def test_sweeps_cut_newton_rows_below_two(monkeypatch):
     assert sum(rows) / (200 * 30) <= 2.0
 
 
+def test_split_newton_keeps_engine_rows_on_the_low_block(monkeypatch):
+    # the run above at N = 40: every Newton step solves only the 10 x 10 low
+    # block (2.95 rows per path-step); with the high modes divided by 1 in
+    # place of diag(1 + tau Lambda), 1.5 rows per path-step fall back to 40
+    solve, sizes = np.linalg.solve, set()
+
+    def counting_solve(a, b):
+        sizes.add(a.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    run_paths_vectorized(initial_datum("mix_plus", 40), 30, SchemeParams(40, TAU), AC,
+                         2024, 200)
+    assert sizes == {10}
+
+
 def test_sweep_converged_rows_match_newton_only_solve(monkeypatch):
     # engine states whose right-hand side moved by 1e-7 (half the rows) or
     # 1e-1: most of the first rows converge in the sweeps, the others need
@@ -445,7 +462,30 @@ def test_residual_matches_independent_oracle(n):
     np.testing.assert_array_equal(rnorm, np.linalg.norm(res, axis=1))
 
 
-@given(st.floats(0.185, 1.0), st.integers(1, 20), st.floats(0.0, 20.0),
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.185])
+def test_split_newton_converges_from_large_states(monkeypatch, eps, n):
+    # one step of 200 rows with right-hand sides of amplitude 1, 5 and 20
+    # and 1/n decay: past the 10 low modes the split step stalls on some
+    # rows (4 of these 18 cases fail without the full-step fallback), and
+    # every row must still converge, to the full Newton solution: both are
+    # within tol of F_hat's root, and F_hat is strongly monotone with C0
+    params, model = SchemeParams(n_modes=n, tau=TAU), allen_cahn_model(eps)
+    c0 = 1.0 - (model.constants.K1 - math.pi**2) * TAU
+    ws = _Workspace(params, model)
+    assert ws.k == 10
+    monkeypatch.setattr(scheme, "_LOW_MODES", n)
+    full = _Workspace(params, model)
+    for amplitude in (1.0, 5.0, 20.0):
+        rhs = (amplitude * np.random.default_rng(7).uniform(-1.0, 1.0, (200, n))
+               / np.arange(1, n + 1))
+        x, iters, residual = ws.newton(rhs, rhs)
+        assert iters < scheme._MAX_ITER and residual <= params.newton_tol
+        gap = np.linalg.norm(x - full.newton(rhs, rhs)[0], axis=1)
+        assert gap.max() <= 2.0 * params.newton_tol / c0
+
+
+@given(st.floats(0.185, 1.0), st.integers(1, 40), st.floats(0.0, 20.0),
        st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_boundary_fuzz_converges_or_names_its_failure(eps, n, amplitude, n_paths,
@@ -563,20 +603,24 @@ def test_overflowed_residual_is_never_at_the_floor():
 
 
 def test_singular_newton_system_names_its_path(monkeypatch):
-    newton_matrix = _Workspace.newton_matrix
+    newton_matrix, sizes = _Workspace.newton_matrix, []
 
-    def singular_row_1(self, x):
-        mats = newton_matrix(self, x)
+    def singular_row_1(self, x, *k):
+        mats = newton_matrix(self, x, *k)
         mats[1] = 0.0
+        sizes.append(mats.shape[-1])
         return mats
 
     monkeypatch.setattr(_Workspace, "newton_matrix", singular_row_1)
-    # from states this large the sweeps diverge, so every row reaches Newton
-    with pytest.raises(SingularLinearSolveError) as exc:
-        run_paths_vectorized(np.full((3, 10), 5.0), 5, PARAMS, AC, 1, 3,
-                             first_path_index=4)
-    assert (exc.value.step, exc.value.path) == (0, 5)
-    assert "singular Newton system at path 5, step 0" in str(exc.value)
+    # from states this large the sweeps diverge, so every row reaches Newton;
+    # at N = 40 the zeroed matrix is the 10 x 10 low block of a split step
+    for n in (10, 40):
+        with pytest.raises(SingularLinearSolveError) as exc:
+            run_paths_vectorized(np.full((3, n), 5.0), 5, SchemeParams(n, TAU), AC, 1, 3,
+                                 first_path_index=4)
+        assert (exc.value.step, exc.value.path) == (0, 5)
+        assert "singular Newton system at path 5, step 0" in str(exc.value)
+    assert sizes == [10, 10]  # N = 10: the full matrix; N = 40: the low block
 
 
 def test_coupled_pair_shares_increments():
@@ -600,11 +644,10 @@ def test_spatial_convergence_on_shared_noise():
     # of N divides the error by T(N) / T(2N) (6.4, 7.2, 7.6; 8 as N grows).
     n_paths = 200
     finals = {}
-    with _one_blas_thread():  # OpenBLAS's threads slow N = 20 several-fold
-        for n in (5, 10, 20, 40, 80):
-            run_paths_vectorized(initial_datum("sine", n), 20,
-                                 SchemeParams(n_modes=n, tau=TAU), AC, 2024, n_paths,
-                                 observers=(lambda step, x, w: finals.update({n: x.copy()}),))
+    for n in (5, 10, 20, 40, 80):
+        run_paths_vectorized(initial_datum("sine", n), 20,
+                             SchemeParams(n_modes=n, tau=TAU), AC, 2024, n_paths,
+                             observers=(lambda step, x, w: finals.update({n: x.copy()}),))
     lam = eigenvalues(160)
     per_mode = TAU / ((1.0 + TAU * lam) ** 2 - 1.0)
     err, rel, theory = {}, {}, {}

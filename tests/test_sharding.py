@@ -10,13 +10,14 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spde_ergo
-from spde_ergo import ergodic
+from spde_ergo import ergodic, scheme
 from spde_ergo.cli import main
 from spde_ergo.ergodic import (
     EnsembleConfig,
@@ -219,12 +220,12 @@ def test_first_failure_in_config_order_at_smallest_step_and_path(monkeypatch, wo
         run_ensembles(cfgs[1:])
 
 
-def test_blas_held_at_one_thread_and_restored(monkeypatch):
+def test_blas_held_at_one_thread_and_restored():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError, AttributeError):
         blas = "unknown"
-    calls = ergodic._openblas_threads()
+    calls = scheme._openblas_threads()
     if calls is None:
         assert "openblas" not in blas, f"no OpenBLAS thread calls found ({blas})"
         pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
@@ -232,16 +233,14 @@ def test_blas_held_at_one_thread_and_restored(monkeypatch):
     old = get()
     set_threads(2)
     try:
-        with ergodic._one_blas_thread():
+        with scheme._one_blas_thread():
             assert get() == 1
         assert get() == 2
-        # run_ensembles holds it in-process too, so every W computes alike.
-        seen, run_half = [], ergodic._run_half
-        monkeypatch.setattr(ergodic, "_run_half",
-                            lambda half: seen.append(get()) or run_half(half))
-        monkeypatch.setattr(ergodic, "_cpu_count", lambda: 1)
-        run_ensemble(ensemble_cfg(n_steps=2))
-        assert seen == [1, 1]
+        # The engine holds it for every caller, so every W computes alike.
+        cfg, seen = ensemble_cfg(n_steps=2), []
+        run_paths_vectorized(cfg.initial_coeffs(), 2, cfg.params, cfg.model, 1, 3,
+                             observers=(lambda step, x, w: seen.append(get()),))
+        assert seen == [1, 1, 1]
         assert get() == 2
     finally:
         set_threads(old)
@@ -274,11 +273,55 @@ def test_dead_worker_fails_loudly(tmp_path):
     assert "ensemble run failed (initial 'sine', N = 6:" in proc.stderr
 
 
-def test_cli_import_leaves_process_pools_unloaded():
-    script = ("import sys, spde_ergo.cli\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
-              " & set(sys.modules)))")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exception_in_a_half_is_raised_whatever_the_worker_count(monkeypatch, workers):
+    # the second half, [3, 7), runs in the forked child at W = 2
+    run_half = ergodic._run_half
+
+    def buggy(half):
+        if half.first:
+            raise KeyError("bug in a half")
+        return run_half(half)
+
+    monkeypatch.setattr(ergodic, "_run_half", buggy)
+    monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
+    with pytest.raises(KeyError, match="bug in a half"):
+        run_ensembles([ensemble_cfg()])
+
+
+def test_parent_failure_leaves_no_child(monkeypatch):
+    parent, run_half = os.getpid(), ergodic._run_half
+
+    def failing_here(half):
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed")
+        time.sleep(60)  # the child is still running when the parent raises
+        return run_half(half)
+
+    monkeypatch.setattr(ergodic, "_run_half", failing_here)
+    monkeypatch.setattr(ergodic, "_cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent failed"):
+        run_ensembles([ensemble_cfg()])
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_leaves_process_pools_unloaded(tmp_path):
+    # neither importing the CLI nor a W = 2 run loads a process pool
+    pools = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    script = "import sys, spde_ergo.cli\n" + pools
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("sine, mix_minus", "sine"), encoding="utf-8")
+    run = FRESH_CLI.replace("sys.exit(cli.main(sys.argv[2:]))",
+                            "assert cli.main(sys.argv[2:]) == 0\n" + pools)
+    proc = subprocess.run([sys.executable, "-c", run, "2", "ergodic", "--config", str(cfg),
+                           "--output", str(tmp_path / "out")], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
