@@ -9,11 +9,12 @@ Three diagnostics are accumulated in-stream over independent paths:
 * fractional Sobolev moments E||W_j||_beta^2 of the discrete stochastic
   convolution, swept over N for the uniformity check.
 
-Each ensemble's P paths run as min(P, 2) fixed contiguous halves,
-[0, P//2) and [P//2, P), a layout that depends on the config only. Each
-half keeps per-step (mean, M2) rows and per-path running sums; the halves
-merge in ascending path order by the pairwise update of Chan, Golub &
-LeVeque (1979). run_ensembles spreads the halves of all its ensembles over
+Ensembles that differ in the initial datum only run as one coupled group,
+path p of each on path p's noise. A group's P paths run as min(P, 2) fixed
+halves, [0, P//2) and [P//2, P), a layout that depends on the config only.
+Each half keeps per-step (mean, M2) rows and per-path running sums of each
+ensemble, whose halves merge in ascending path order by the pairwise update
+of Chan, Golub & LeVeque (1979). run_ensembles spreads the halves over
 W = min(cores in the CPU affinity mask, halves) processes, forking W - 1
 workers (none with one core, e.g. under ``taskset -c 0``, or off Linux).
 Results are a pure function of (master_seed, config) and do not depend on W.
@@ -170,7 +171,8 @@ class EnsembleError(RuntimeError):
 
 @dataclass
 class EnsembleResult:
-    """All diagnostics of one ensemble run."""
+    """All diagnostics of one ensemble run; the Newton maxima are those of
+    the coupled group it ran in."""
 
     config: EnsembleConfig
     time_averages: dict[str, MomentSeries]
@@ -199,9 +201,10 @@ class _HalfStats:
 
 @dataclass(frozen=True)
 class _Half:
-    """Paths [first, stop) of the ensemble cfg, started from x0."""
+    """Paths [first, stop) of the compatible ensembles cfgs, started from
+    the rows of x0, one per config."""
 
-    cfg: EnsembleConfig
+    cfgs: tuple[EnsembleConfig, ...]
     x0: np.ndarray
     first: int
     stop: int
@@ -211,27 +214,28 @@ def _label(cfg: EnsembleConfig) -> str:
     return f"initial {cfg.initial!r}, N = {cfg.params.n_modes}"
 
 
-def _run_half(half: _Half) -> _HalfStats | NonConvergenceError | SingularLinearSolveError:
-    """Run paths [first, stop) of an ensemble; a Newton failure is returned."""
-    cfg = half.cfg
+def _run_batch(half: _Half) -> list[_HalfStats]:
+    """Run paths [first, stop) of every ensemble of half as one coupled
+    batch, each path's copies on the path's noise; one result per config."""
+    cfg = half.cfgs[0]  # the configs differ in the initial datum only
     params, model = cfg.params, cfg.model
     n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, half.stop - half.first
     lam = eigenvalues(params.n_modes)
     lam_pows = [lam**beta for beta in cfg.moment_betas]
     phis = [_FUNCTIONALS[tag] for tag in cfg.functionals]
 
-    # One row per statistic and one column per path: ||X||^2, then
+    # One row per statistic, one column per (copy, path): ||X||^2, then
     # ||W||_beta^2 per beta, then each running time average after burn-in.
     first_avg = 1 + len(lam_pows)
-    block = np.empty((first_avg + len(phis), n_paths))
-    phi_cum = np.zeros((len(phis), n_paths))
-    # Ensemble mean and centred sum of squares of each row, step by step;
-    # centring before squaring keeps the variance free of cancellation.
-    mean = np.zeros((len(block), n_steps + 1))
+    block = np.empty((first_avg + len(phis), len(half.cfgs), n_paths))
+    phi_cum = np.zeros((len(phis), len(half.cfgs), n_paths))
+    # Each copy's ensemble mean and centred sum of squares of each row, step
+    # by step; centring before squaring keeps the variance free of cancellation.
+    mean = np.zeros((len(half.cfgs), len(block), n_steps + 1))
     m2 = np.zeros_like(mean)
 
     def observer(step, x, w):
-        block[0] = (x * x).sum(axis=1)
+        block[0] = (x * x).sum(axis=2)
         ww = w * w
         for r, lam_pow in enumerate(lam_pows, start=1):
             block[r] = ww @ lam_pow
@@ -242,22 +246,33 @@ def _run_half(half: _Half) -> _HalfStats | NonConvergenceError | SingularLinearS
             block[first_avg:] = phi_cum / (step - burn_in)
             n_rows = len(block)
         rows = block[:n_rows]
-        mu = rows.mean(axis=1)
+        mu = rows.mean(axis=2)
         # The rounded mean of equal values can miss their value, and the
         # merge would then read a spread where all paths agree; clamped into
         # [min, max] it is exact.
-        np.clip(mu, rows.min(axis=1), rows.max(axis=1), out=mu)
-        d = rows - mu[:, None]
-        mean[:n_rows, step] = mu
-        m2[:n_rows, step] = np.einsum("ij,ij->i", d, d)
+        np.clip(mu, rows.min(axis=2), rows.max(axis=2), out=mu)
+        d = rows - mu[:, :, None]
+        mean[:, :n_rows, step] = mu.T
+        m2[:, :n_rows, step] = np.einsum("icj,icj->ci", d, d)
 
+    x0 = np.broadcast_to(half.x0[:, None], (len(half.cfgs), n_paths, params.n_modes))
+    max_iters, max_res = run_paths_vectorized(
+        x0, n_steps, params, model, cfg.master_seed, n_paths,
+        observers=(observer,), first_path_index=half.first)
+    return [_HalfStats(mu, sq, n_paths, max_iters, max_res) for mu, sq in zip(mean, m2)]
+
+
+def _run_half(half: _Half) -> list[_HalfStats | NonConvergenceError | SingularLinearSolveError]:
+    """One result per config of half, a Newton failure returned. A failing
+    coupled batch runs again one config at a time, so that each config
+    reports the failure it has alone."""
     try:
-        max_iters, max_res = run_paths_vectorized(
-            half.x0, n_steps, params, model, cfg.master_seed, n_paths,
-            observers=(observer,), first_path_index=half.first)
+        return _run_batch(half)
     except (NonConvergenceError, SingularLinearSolveError) as exc:
-        return exc
-    return _HalfStats(mean, m2, n_paths, max_iters, max_res)
+        if len(half.cfgs) == 1:
+            return [exc]
+        return [_run_half(replace(half, cfgs=(cfg,), x0=half.x0[i:i + 1]))[0]
+                for i, cfg in enumerate(half.cfgs)]
 
 
 def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
@@ -332,7 +347,7 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if not payload:
-                raise EnsembleError(_label(halves[min(share)].cfg), ChildProcessError(
+                raise EnsembleError(_label(halves[min(share)].cfgs[0]), ChildProcessError(
                     f"worker exited with status {code} and sent nothing"))
             results = pickle.loads(payload)
             if isinstance(results, Exception):
@@ -349,30 +364,42 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
 def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """Run independent ensembles of DIEG paths and reduce their diagnostics.
 
-    Each ensemble runs as N_HALVES fixed halves of its paths. The halves,
-    in config order, are dealt round-robin to
+    The configs that are compatible_with each other run as one coupled
+    group, each path's copies on the path's noise. Each group runs as
+    N_HALVES fixed halves of its paths. The halves, in the order of their
+    groups' first configs, are dealt round-robin to
     W = min(cores in the affinity mask, halves) processes: this one and
     W - 1 forked workers. Each ensemble's halves merge in ascending path
-    order, so the results are a pure function of the configs, whatever W. A failure raises EnsembleError for
-    the first failing ensemble in config order, caused by its Newton
-    failure at the smallest (step, path); a worker that dies raises it for
-    the first ensemble of its share.
+    order, so the results are a pure function of the configs, whatever W.
+    A failure raises EnsembleError for the first failing ensemble in config
+    order, caused by its Newton failure at the smallest (step, path); a
+    worker that dies raises it for the first ensemble of its share.
     """
-    halves, spans = [], []
-    for cfg in cfgs:
+    groups: list[list[int]] = []
+    for i, cfg in enumerate(cfgs):
         cfg.params.validate(cfg.model)  # a bad config raises before any fork
-        x0 = cfg.initial_coeffs()
-        k = min(cfg.n_paths, N_HALVES)
-        cuts = [j * cfg.n_paths // k for j in range(k + 1)]
-        spans.append(range(len(halves), len(halves) + k))
-        halves += [_Half(cfg, x0, a, b) for a, b in zip(cuts, cuts[1:])]
+        group = next((g for g in groups if cfgs[g[0]].compatible_with(cfg)), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+    halves, where = [], {}
+    for group in groups:
+        head = cfgs[group[0]]
+        x0 = np.array([cfgs[i].initial_coeffs() for i in group])
+        k = min(head.n_paths, N_HALVES)
+        cuts = [j * head.n_paths // k for j in range(k + 1)]
+        for c, i in enumerate(group):
+            where[i] = [(h, c) for h in range(len(halves), len(halves) + k)]
+        halves += [_Half(tuple(cfgs[i] for i in group), x0, a, b)
+                   for a, b in zip(cuts, cuts[1:])]
     n_workers = max(1, min(_cpu_count(), len(halves)))
     shares = [list(range(s, len(halves), n_workers)) for s in range(n_workers)]
     out = _run_forked(halves, shares)
 
     results = []
-    for cfg, span in zip(cfgs, spans):
-        stats = [out[h] for h in span]
+    for i, cfg in enumerate(cfgs):
+        stats = [out[h][c] for h, c in where[i]]
         errors = [s for s in stats if isinstance(s, Exception)]
         if errors:
             exc = min(errors, key=lambda e: (e.step, e.path))

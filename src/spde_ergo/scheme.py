@@ -159,13 +159,20 @@ class _Workspace(GalerkinOperators):
         table = self._products if k == self.n else self._low_products
         return (coef @ table).reshape(len(x), k, k)
 
+    def divisor(self, u: np.ndarray) -> np.ndarray:
+        """Rows of d = 1 + tau Lambda - tau <f'(u)> for the rows of the lift
+        u, <f'(u)> the grid mean of f': the Newton matrix's diagonal were f'
+        constant. f' <= K1 keeps d >= C0 = 1 - (K1 - lambda_1) tau > 0."""
+        mean = np.add.reduce(self.model.drift_deriv(u), axis=1) * (self.tau * self.weight)
+        return self.one_plus - mean[:, None]
+
     def _sweep(self, rhs: np.ndarray,
                guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's best of up to _SWEEPS resolvent fixed-point sweeps.
+        """Each row's best of up to _SWEEPS mean-field resolvent sweeps.
 
-        A sweep maps x to (I + tau Lambda)^-1 s, s = rhs + tau P_N F(x), the
-        linearly implicit Euler predictor of x; the same s gives x's
-        residual (I + tau Lambda) x - s. A row sweeps on while its residual
+        A sweep maps x to x - res / d, res = (I + tau Lambda) x - s the
+        residual of x, s = rhs + tau P_N F(x) and d the divisor at x, one
+        lift of x giving all three. A row sweeps on while its residual
         is above tol and each sweep cuts it to at most _SWEEP_RATIO of the
         last. A stopped row is frozen: from a large state the map diverges.
         Returns each row's best iterate, its residual and the residual's
@@ -174,8 +181,8 @@ class _Workspace(GalerkinOperators):
         drift, lift, proj = self.model.drift, self.basis.T, self._tau_proj
         tol_sq, ratio_sq = self.tol * self.tol, _SWEEP_RATIO * _SWEEP_RATIO
         x = guess
-        s = rhs + drift(x @ lift) @ proj
-        res = self.one_plus * x - s
+        u = x @ lift
+        res = self.one_plus * x - (rhs + drift(u) @ proj)
         sq = np.add.reduce(res * res, axis=1)
         best, best_res, best_sq = x.copy(), res, sq
         # A NaN residual compares false, so its row never sweeps.
@@ -185,12 +192,12 @@ class _Workspace(GalerkinOperators):
             n_sweeping = np.count_nonzero(sweeping)
             if not n_sweeping:
                 break
-            x = self.res_factors * s
+            # A sweeping row's x is its best iterate.
+            x = x - res / self.divisor(u)
             if n_sweeping < len(x):
-                # A frozen row stays at its best iterate, whose drift is known.
                 x = np.where(live, x, best)
-            s = rhs + drift(x @ lift) @ proj
-            res = self.one_plus * x - s
+            u = x @ lift
+            res = self.one_plus * x - (rhs + drift(u) @ proj)
             prev, sq = sq, np.add.reduce(res * res, axis=1)
             better = sq < best_sq
             if np.count_nonzero(better) == len(x):
@@ -203,7 +210,7 @@ class _Workspace(GalerkinOperators):
         return best, best_res, np.sqrt(best_sq)
 
     def newton(self, rhs: np.ndarray, guess: np.ndarray, step: int | None = None,
-               first_path: int | None = None) -> tuple[np.ndarray, int, float]:
+               paths: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
         """Solve every row of F_hat(x) = rhs: sweeps, then damped Newton.
 
         A split step solves the low k x k block of the Newton matrix and
@@ -211,10 +218,10 @@ class _Workspace(GalerkinOperators):
         SIAM J. Numer. Anal. 33, 1996). A row whose split step leaves over
         _SPLIT_RATIO of its residual, and every row when k = N, takes full steps.
         Returns (x, iterations, largest final residual norm). A failure
-        names the first failing row as path first_path + row.
+        names the first failing row as path paths[row].
         """
         def path(row):
-            return None if first_path is None else first_path + int(row)
+            return None if paths is None else int(paths[row])
 
         def failure(rows, residuals, iterations):
             row = np.flatnonzero(rows)[0]
@@ -306,15 +313,17 @@ _MAX_ITER = 50
 # is round-off; the stalled residual measured 1.2 to 1.7 of them, N = 1..40.
 _FLOOR_EPS = 8.0
 
-# Resolvent sweeps before Newton, and the factor by which a sweep must cut a
-# row's residual for the row to go on. At eps = 0.5, tau = 0.05 a sweep cuts
-# it about tenfold: 4 sweeps take the rows Newton solves per path-step from
-# 2.87 to 1.57 (N = 10, 200 paths) and the engine time down 23 % (N = 10,
-# 500 paths) and 47 % (N = 40, 100 paths), while a one-path run, where each
-# numpy call costs more than its arithmetic, stays as fast. A fifth sweep
-# gains 5-10 % more on batches and costs a one-path run about as much.
-# Ratios from 0.3 to 0.9 perform alike at eps >= 0.2.
-_SWEEPS = 4
+# Mean-field sweeps before Newton, and the factor by which a sweep must cut
+# a row's residual for the row to go on. On engine states a sweep cuts the
+# median residual about 25-fold at eps = 0.5 (the plain resolvent sweep
+# x -> x - res / (1 + tau Lambda): 10-fold) and 1.6-fold at eps = 0.185.
+# On mix_plus, 200 paths, 30 steps, eps = 0.5, 5 such sweeps take the rows
+# Newton solves per path-step to 1.05 at N = 10 and 1.82-1.84 at N = 20 and
+# 40 (4 plain sweeps: 1.57 and 2.95), and the worst step's Newton
+# iterations to 3 and 6 (5 and 8). A sixth sweep ends rows inside the
+# sweeps at about tol, above Newton's final residuals. Ratios from 0.3 to
+# 0.9 performed alike at eps >= 0.2.
+_SWEEPS = 5
 _SWEEP_RATIO = 0.8
 
 # Modes whose block of the Newton matrix a split step solves exactly; past
@@ -391,10 +400,13 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
                          first_step: int = 0) -> tuple[int, float]:
     """Advance n_paths independent paths in lockstep.
 
-    Observers are called as observer(step, X, W) with (n_paths, N) arrays
-    whose row p corresponds to path index first_path_index + p; step counts
-    from 0 at x0. Step j draws the noise block (first_step + j) of each
-    path, so the result is a pure function of (master_seed, config)
+    x0 is one state, one per path, (n_paths, N), or one per copy and path,
+    (copies, n_paths, N): each copy of a path is a row of its own driven by
+    the path's noise, which is drawn once per step for all its copies.
+    Observers are called as observer(step, X, W) with arrays of x0's shape
+    ((n_paths, N) for one state) whose path p is path first_path_index + p;
+    step counts from 0 at x0. Step j draws the noise block (first_step + j)
+    of each path, so the result is a pure function of (master_seed, config)
     regardless of batching. A Newton failure raises NonConvergenceError
     naming the (path, step) of the first failing row. OpenBLAS is held at
     one thread while the paths step.
@@ -404,15 +416,15 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     if n_steps < 0 or n_paths < 1:
         raise ValueError("n_steps must be >= 0 and n_paths >= 1")
     ws = _Workspace(params, model)
-    x0_arr = np.asarray(x0, dtype=float)
-    if x0_arr.ndim == 1:
-        x = np.tile(x0_arr, (n_paths, 1))
-    else:
-        x = x0_arr.copy()
-        if x.shape != (n_paths, ws.n):
-            raise ValueError(f"x0 must have shape ({n_paths}, {ws.n})")
-    if x.shape[1] != ws.n:
-        raise ValueError(f"x0 has {x.shape[1]} modes, scheme expects {ws.n}")
+    shape = np.shape(x0) if np.ndim(x0) > 1 else (n_paths, *np.shape(x0))
+    if shape[-1] != ws.n:
+        raise ValueError(f"x0 has {shape[-1]} modes, scheme expects {ws.n}")
+    if len(shape) not in (2, 3) or shape[-2] != n_paths:
+        raise ValueError(f"x0 must have shape ([copies,] {n_paths}, {ws.n})")
+    # The copies' rows stacked, copy-major; the noise acts on the (copies,
+    # n_paths, N) view, broadcasting each path's increments over its copies.
+    x = np.array(np.broadcast_to(x0, shape), dtype=float).reshape(-1, ws.n)
+    paths = first_path_index + np.arange(len(x)) % n_paths
     w = np.zeros_like(x)
     source = PhiloxBlockSource(master_seed)
     sqrt_tau = math.sqrt(ws.tau)
@@ -420,18 +432,18 @@ def run_paths_vectorized(x0, n_steps: int, params: SchemeParams,
     max_res = 0.0
     with _one_blas_thread():
         for obs in observers:
-            obs(0, x, w)
+            obs(0, x.reshape(shape), w.reshape(shape))
         for j in range(n_steps):
             dbeta = sqrt_tau * source.normals(first_path_index, n_paths,
                                               first_step + j, ws.n)
             # One DIEG step of every row; chain and convolution share the noise.
-            noise = ws.noise(x, dbeta)
-            x, iters, res = ws.newton(x + noise, x, j, first_path_index)
+            noise = ws.noise(x.reshape(-1, n_paths, ws.n), dbeta).reshape(x.shape)
+            x, iters, res = ws.newton(x + noise, x, j, paths)
             w = ws.res_factors * (w + noise)
             max_iters = max(max_iters, iters)
             max_res = max(max_res, res)
             for obs in observers:
-                obs(j + 1, x, w)
+                obs(j + 1, x.reshape(shape), w.reshape(shape))
     return max_iters, max_res
 
 

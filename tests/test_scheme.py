@@ -15,6 +15,7 @@ from spde_ergo.model import (
     constant_diffusion,
     drift_quadrature,
     heat_model,
+    validate_step_constraint,
 )
 from spde_ergo.noise import NoiseStream
 from spde_ergo.scheme import (
@@ -160,6 +161,38 @@ def test_newton_stuck_above_floor_still_fails():
     assert (exc.value.path, exc.value.step) == (4, 0)
     assert exc.value.residual > 1e-3
     assert "path 4, step 0" in str(exc.value)
+
+
+def test_failing_copy_names_its_path():
+    # x0 of shape (copies, paths, N): copy 1 of path 4 fails as path 4 alone
+    m = replace(heat_model(constant_diffusion(0.0)), drift=lambda u: -200.0 * u,
+                drift_deriv=lambda u: np.full_like(u, 2000.0))
+    x0 = np.zeros((2, 2, 10))
+    x0[1, 1] = 0.5
+    with pytest.raises(NonConvergenceError) as exc:
+        run_paths_vectorized(x0, 3, PARAMS, m, 1, 2, first_path_index=3)
+    assert (exc.value.path, exc.value.step) == (4, 0)
+
+
+def test_copies_step_on_their_path_noise():
+    # each copy of a (copies, paths, N) run is the run of its own initial
+    # datum, on the same noise blocks
+    x0 = np.array([initial_datum(name, 10) for name in ("sine", "mix_plus", "mix_minus")])
+    seen = []
+    run_paths_vectorized(np.broadcast_to(x0[:, None], (3, 4, 10)), 20, PARAMS, AC, 9, 4,
+                         observers=(lambda step, x, w: seen.append((x.copy(), w.copy())),),
+                         first_path_index=2)
+    assert seen[0][0].shape == (3, 4, 10)
+    for c in range(3):
+        alone = []
+        run_paths_vectorized(x0[c], 20, PARAMS, AC, 9, 4,
+                             observers=(lambda step, x, w: alone.append((x.copy(), w.copy())),),
+                             first_path_index=2)
+        for (x, w), (xa, wa) in zip(seen, alone):
+            np.testing.assert_allclose(x[c], xa, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(w[c], wa, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError, match="shape"):
+        run_paths_vectorized(np.zeros((3, 5, 10)), 1, PARAMS, AC, 9, 4)
 
 
 @pytest.mark.parametrize("n", [1, 4, 40])
@@ -415,14 +448,14 @@ def test_split_newton_keeps_engine_rows_on_the_low_block(monkeypatch):
 
 def test_sweep_converged_rows_match_newton_only_solve(monkeypatch):
     # engine states whose right-hand side moved by 1e-7 (half the rows) or
-    # 1e-1: most of the first rows converge in the sweeps, the others need
-    # Newton
+    # 1: most of the first rows converge in the sweeps, the others need
+    # Newton (at 1e-1 to 0.5 one of them converged in the sweeps)
     states = []
     run_paths_vectorized(initial_datum("mix_plus", 10), 10, PARAMS, AC, 5, 40,
                          observers=(lambda step, x, w: states.append(x.copy()),))
     ws = _Workspace(PARAMS, AC)
     guess = states[-1]
-    size = np.repeat([1e-7, 1e-1], 20)[:, None]
+    size = np.repeat([1e-7, 1.0], 20)[:, None]
     rhs = ws.residual(guess, 0.0) + size * np.random.default_rng(8).standard_normal(guess.shape)
     assert np.linalg.norm(ws.residual(guess, rhs), axis=1).min() > PARAMS.newton_tol
     swept, _, rnorm = ws._sweep(rhs, guess)
@@ -439,8 +472,8 @@ def test_sweep_converged_rows_match_newton_only_solve(monkeypatch):
 @pytest.mark.parametrize("n", [1, 6, 20])
 def test_residual_matches_independent_oracle(n):
     # F_hat(x) - rhs from (n pi)^2 and the drift projected on 8N nodes, at
-    # random states of amplitude 2; the sweeps step with res_factors and
-    # judge with one_plus, so the two must be reciprocal
+    # random states of amplitude 2; the convolution steps with res_factors
+    # and the residual with one_plus, so the two must be reciprocal
     p = SchemeParams(n_modes=n, tau=TAU)
     ws = _Workspace(p, AC)
     rng = np.random.default_rng(n)
@@ -460,6 +493,27 @@ def test_residual_matches_independent_oracle(n):
     best, res, rnorm = ws._sweep(rhs, x)
     np.testing.assert_allclose(res, ws.residual(best, rhs), rtol=0, atol=1e-13 * scale)
     np.testing.assert_array_equal(rnorm, np.linalg.norm(res, axis=1))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.185])
+def test_sweep_divisor_is_at_least_c0(eps):
+    # d = 1 + tau Lambda - tau <f'(u)> >= C0 = 1 - (K1 - lambda_1) tau, since
+    # f' <= K1, at random states of amplitude up to 20
+    model = allen_cahn_model(eps)
+    c0 = validate_step_constraint(model.constants, TAU).c0
+    for n in (1, 10, 40):
+        ws = _Workspace(SchemeParams(n, TAU), model)
+        rng = np.random.default_rng(n)
+        for amplitude in (0.01, 1.0, 5.0, 20.0):
+            x = amplitude * rng.uniform(-1.0, 1.0, (200, n))
+            d = ws.divisor(x @ ws.basis.T)
+            assert d.shape == x.shape
+            assert d.min() >= c0
+    # with no drift the sweep divides by 1 + tau Lambda, as the resolvent does
+    heat = _Workspace(PARAMS, heat_model(constant_diffusion(1.0)))
+    x = np.random.default_rng(3).uniform(-20.0, 20.0, (50, 10))
+    np.testing.assert_array_equal(heat.divisor(x @ heat.basis.T),
+                                  np.broadcast_to(1.0 + TAU * eigenvalues(10), x.shape))
 
 
 @pytest.mark.parametrize("n", [20, 40])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from spde_ergo.ergodic import (
     run_ensemble,
     run_ensembles,
 )
-from spde_ergo.model import allen_cahn_model
+from spde_ergo.model import allen_cahn_model, constant_diffusion, heat_model
 from spde_ergo.scheme import (
     NonConvergenceError,
     SchemeParams,
@@ -194,19 +195,66 @@ def test_run_ensembles_equals_one_call_per_config():
             np.testing.assert_array_equal(series.stderrs, b.time_averages[tag].stderrs)
 
 
+def test_coupled_group_equals_one_call_per_config():
+    # the three initial data run as one coupled batch per half
+    cfgs = [ensemble_cfg(initial=i) for i in ("sine", "mix_plus", "mix_minus")]
+    coupled, alone = run_ensembles(cfgs), [run_ensemble(c) for c in cfgs]
+    for a, b in zip(coupled, alone):
+        assert a.config == b.config
+        pairs = [(a.x_moment, b.x_moment)]
+        pairs += [(a.w_moments[beta], b.w_moments[beta]) for beta in a.w_moments]
+        pairs += [(a.time_averages[tag], b.time_averages[tag]) for tag in a.time_averages]
+        for sa, sb in pairs:
+            np.testing.assert_array_equal(sa.steps, sb.steps)
+            np.testing.assert_allclose(sa.values, sb.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sa.stderrs, sb.stderrs, rtol=1e-12, atol=1e-16)
+    # each ensemble of the group reports the group's Newton maxima
+    assert max(r.max_newton_iters for r in alone) == coupled[0].max_newton_iters
+    assert max(r.max_residual for r in alone) == pytest.approx(coupled[0].max_residual,
+                                                               rel=1e-4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_coupled_half_reports_each_config_alone(monkeypatch, workers):
+    # A state below -2 makes the drift NaN: mix_minus (min -6.3) fails at
+    # step 0, sine (max 1) later, once the noise takes it there. The coupled
+    # batch stops at step 0; sine must still report its own failure.
+    monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
+    model = replace(heat_model(constant_diffusion(3.0)),
+                    drift=lambda u: np.where(u < -2.0, np.nan, -u),
+                    drift_deriv=lambda u: -np.ones_like(u))
+    cfgs = [ensemble_cfg(initial=i, model=model, n_steps=40) for i in ("sine", "mix_minus")]
+    causes = []
+    for order in (cfgs, cfgs[::-1]):
+        with pytest.raises(EnsembleError) as coupled:
+            run_ensembles(order)
+        with pytest.raises(EnsembleError) as alone:
+            run_ensemble(order[0])
+        assert str(coupled.value) == str(alone.value)
+        assert coupled.value.label == alone.value.label
+        causes.append(coupled.value.cause)
+    sine, mix_minus = causes
+    assert mix_minus.step == 0 < sine.step
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_failure_in_config_order_at_smallest_step_and_path(monkeypatch, workers):
     # Keyed by (initial, first path of the half); the halves are [0, 3), [3, 7).
+    # A coupled batch raises the failure of its first failing config, and
+    # each config run alone raises its own.
     failures = {("mix_plus", 0): NonConvergenceError(1.0, 3, step=4, path=1),
                 ("mix_plus", 3): NonConvergenceError(1.0, 3, step=2, path=5),
                 ("mix_minus", 0): NonConvergenceError(1.0, 3, step=10, path=1),
                 ("mix_minus", 3): SingularLinearSolveError(step=2, path=5)}
-    run_half = ergodic._run_half
+    run_batch = ergodic._run_batch
 
     def failing(half):
-        return failures.get((half.cfg.initial, half.first)) or run_half(half)
+        for cfg in half.cfgs:
+            if (cfg.initial, half.first) in failures:
+                raise failures[cfg.initial, half.first]
+        return run_batch(half)
 
-    monkeypatch.setattr(ergodic, "_run_half", failing)
+    monkeypatch.setattr(ergodic, "_run_batch", failing)
     monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
     cfgs = [ensemble_cfg(initial="mix_plus"), ensemble_cfg(initial="mix_minus")]
     with pytest.raises(EnsembleError) as exc:
