@@ -16,7 +16,8 @@ Each half keeps per-step (mean, M2) rows and per-path running sums of each
 ensemble, whose halves merge in ascending path order by the pairwise update
 of Chan, Golub & LeVeque (1979). run_ensembles spreads the halves over
 W = min(cores in the CPU affinity mask, halves) processes, forking W - 1
-workers (none with one core, e.g. under ``taskset -c 0``, or off Linux).
+workers (none with one core, e.g. under ``taskset -c 0``, or off Linux),
+each bound to a core of its own when they take every core of the mask.
 Results are a pure function of (master_seed, config) and do not depend on W.
 """
 
@@ -314,22 +315,43 @@ def _cpu_count() -> int:
         return 1
 
 
+def _core_of(worker: int, n_workers: int, mask: set[int]) -> set[int] | None:
+    """The one core process worker of n_workers is bound to, or None.
+
+    Left to itself, the scheduler was seen to keep a fresh fork on its
+    parent's core for a whole 0.2-0.4 s run while the other core idled, in
+    most fresh-interpreter runs on a 2-core VM: the run then took 1.5-2
+    times as long. So when the W processes take every core of the affinity
+    mask, worker k is bound to the mask's core k mod (its size). With spare
+    cores the scheduler keeps the choice.
+    """
+    cores = sorted(mask)
+    return {cores[worker % len(cores)]} if n_workers >= len(cores) else None
+
+
 def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
     """Run share 0 here and every other share in a forked child process.
 
     Fork, not spawn: models hold lambdas and do not pickle; no other thread
-    runs here at the fork. A child pickles its results, or the exception it
-    raised (raised again here, as at W = 1), into a pipe and leaves by
-    os._exit; one that sends nothing raises EnsembleError for its first
-    ensemble. If this process raises, every child is killed and reaped first.
+    runs here at the fork. Each process may be bound to a core of its own
+    while it runs its share (see _core_of); this process gets its
+    affinity mask back before it returns. A child pickles its results, or
+    the exception it raised (raised again here, as at W = 1), into a pipe
+    and leaves by os._exit; one that sends nothing raises EnsembleError for
+    its first ensemble. If this process raises, every child is killed and
+    reaped first.
     """
     children = []
+    mask = (os.sched_getaffinity(0)
+            if len(shares) > 1 and hasattr(os, "sched_setaffinity") else None)
     try:
-        for share in shares[1:]:
+        for worker, share in enumerate(shares[1:], start=1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child
                 try:
+                    if mask and (core := _core_of(worker, len(shares), mask)):
+                        os.sched_setaffinity(0, core)
                     with os.fdopen(write, "wb") as pipe:
                         try:
                             pickle.dump([_run_half(halves[h]) for h in share], pipe)
@@ -339,6 +361,8 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
                     os._exit(0)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), share))
+        if mask and (core := _core_of(0, len(shares), mask)):
+            os.sched_setaffinity(0, core)
         out = {h: _run_half(halves[h]) for h in shares[0]}
         while children:
             pid, pipe, share = children[0]
@@ -359,6 +383,8 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
+        if mask:
+            os.sched_setaffinity(0, mask)
 
 
 def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:

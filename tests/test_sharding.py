@@ -294,6 +294,36 @@ def test_blas_held_at_one_thread_and_restored():
         set_threads(old)
 
 
+def test_core_of_binds_only_when_the_workers_take_every_core():
+    assert ergodic._core_of(0, 2, {3, 5}) == {3}
+    assert ergodic._core_of(1, 2, {3, 5}) == {5}
+    assert ergodic._core_of(2, 3, {3, 5}) == {3}
+    assert ergodic._core_of(0, 2, {0, 1, 2}) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity calls and two cores")
+def test_each_process_runs_on_its_own_core_and_the_mask_comes_back(tmp_path, monkeypatch):
+    mask = os.sched_getaffinity(0)
+    two = set(sorted(mask)[:2])
+    seen, run_half = tmp_path / "cores", ergodic._run_half
+
+    def recording(half):
+        with open(seen, "a", encoding="utf-8") as fh:
+            fh.write(f"{half.first} {sorted(os.sched_getaffinity(0))}\n")
+        return run_half(half)
+
+    monkeypatch.setattr(ergodic, "_run_half", recording)
+    os.sched_setaffinity(0, two)
+    try:
+        run_ensembles([ensemble_cfg()])
+        assert os.sched_getaffinity(0) == two
+    finally:
+        os.sched_setaffinity(0, mask)
+    cores = sorted(seen.read_text(encoding="utf-8").splitlines())
+    assert cores == [f"0 {sorted(two)[:1]}", f"3 {sorted(two)[1:]}"]
+
+
 def test_dead_worker_fails_loudly(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.replace("sine, mix_minus", "sine"), encoding="utf-8")
