@@ -10,15 +10,17 @@ Three diagnostics are accumulated in-stream over independent paths:
   convolution, swept over N for the uniformity check.
 
 Ensembles that differ in the initial datum only run as one coupled group,
-path p of each on path p's noise. A group's P paths run as min(P, 2) fixed
-halves, [0, P//2) and [P//2, P), a layout that depends on the config only.
-Each half keeps per-step (mean, M2) rows and per-path running sums of each
-ensemble, whose halves merge in ascending path order by the pairwise update
-of Chan, Golub & LeVeque (1979). run_ensembles spreads the halves over
-W = min(cores in the CPU affinity mask, halves) processes, forking W - 1
-workers (none with one core, e.g. under ``taskset -c 0``, or off Linux),
-each bound to a core of its own when they take every core of the mask.
-Results are a pure function of (master_seed, config) and do not depend on W.
+path p of each on path p's noise. A call with one group runs its P paths as
+min(P, 2) fixed halves, [0, P//2) and [P//2, P); a call with two or more
+groups (the N-sweep) runs each group whole. These work units depend on the
+configs only. Each unit keeps per-step (mean, M2) rows of each ensemble,
+whose units merge in ascending path order by the pairwise update of Chan,
+Golub & LeVeque (1979). run_ensembles deals the units, longest group first,
+to the least-loaded of W = min(cores in the CPU affinity mask, units)
+processes, forking W - 1 workers (none with one core, e.g. under
+``taskset -c 0``, or off Linux), each bound to a core of its own when they
+take every core of the mask. Results are a pure function of
+(master_seed, config) and do not depend on W.
 """
 
 from __future__ import annotations
@@ -183,14 +185,15 @@ class EnsembleResult:
     max_residual: float
 
 
-# Every ensemble's P paths run as min(P, N_HALVES) contiguous halves,
-# [0, P//2) and [P//2, P), whatever the number of worker processes.
+# A lone group's P paths run as min(P, N_HALVES) contiguous halves,
+# [0, P//2) and [P//2, P), whatever the number of worker processes; in a
+# call with two or more groups each group runs whole.
 N_HALVES = 2
 
 
 @dataclass
-class _HalfStats:
-    """Statistics of one half: per-step ensemble mean and centred sum of
+class _UnitStats:
+    """Statistics of one unit: per-step ensemble mean and centred sum of
     squares of each statistic row over its n paths, Newton maxima."""
 
     mean: np.ndarray
@@ -201,26 +204,32 @@ class _HalfStats:
 
 
 @dataclass(frozen=True)
-class _Half:
+class _Unit:
     """Paths [first, stop) of the compatible ensembles cfgs, started from
-    the rows of x0, one per config."""
+    the rows of x0, one per config: a half of a group, or a whole group."""
 
     cfgs: tuple[EnsembleConfig, ...]
     x0: np.ndarray
     first: int
     stop: int
 
+    def cost(self, whole: bool = False) -> int:
+        """Rows x steps x N of this unit, or of its whole group."""
+        cfg = self.cfgs[0]
+        n_paths = cfg.n_paths if whole else self.stop - self.first
+        return len(self.cfgs) * n_paths * cfg.n_steps * cfg.params.n_modes
+
 
 def _label(cfg: EnsembleConfig) -> str:
     return f"initial {cfg.initial!r}, N = {cfg.params.n_modes}"
 
 
-def _run_batch(half: _Half) -> list[_HalfStats]:
-    """Run paths [first, stop) of every ensemble of half as one coupled
+def _run_batch(unit: _Unit) -> list[_UnitStats]:
+    """Run paths [first, stop) of every ensemble of unit as one coupled
     batch, each path's copies on the path's noise; one result per config."""
-    cfg = half.cfgs[0]  # the configs differ in the initial datum only
+    cfg = unit.cfgs[0]  # the configs differ in the initial datum only
     params, model = cfg.params, cfg.model
-    n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, half.stop - half.first
+    n_steps, burn_in, n_paths = cfg.n_steps, cfg.burn_in, unit.stop - unit.first
     lam = eigenvalues(params.n_modes)
     lam_pows = [lam**beta for beta in cfg.moment_betas]
     phis = [_FUNCTIONALS[tag] for tag in cfg.functionals]
@@ -228,11 +237,11 @@ def _run_batch(half: _Half) -> list[_HalfStats]:
     # One row per statistic, one column per (copy, path): ||X||^2, then
     # ||W||_beta^2 per beta, then each running time average after burn-in.
     first_avg = 1 + len(lam_pows)
-    block = np.empty((first_avg + len(phis), len(half.cfgs), n_paths))
-    phi_cum = np.zeros((len(phis), len(half.cfgs), n_paths))
+    block = np.empty((first_avg + len(phis), len(unit.cfgs), n_paths))
+    phi_cum = np.zeros((len(phis), len(unit.cfgs), n_paths))
     # Each copy's ensemble mean and centred sum of squares of each row, step
     # by step; centring before squaring keeps the variance free of cancellation.
-    mean = np.zeros((len(half.cfgs), len(block), n_steps + 1))
+    mean = np.zeros((len(unit.cfgs), len(block), n_steps + 1))
     m2 = np.zeros_like(mean)
 
     def observer(step, x, w):
@@ -256,31 +265,31 @@ def _run_batch(half: _Half) -> list[_HalfStats]:
         mean[:, :n_rows, step] = mu.T
         m2[:, :n_rows, step] = np.einsum("icj,icj->ci", d, d)
 
-    x0 = np.broadcast_to(half.x0[:, None], (len(half.cfgs), n_paths, params.n_modes))
+    x0 = np.broadcast_to(unit.x0[:, None], (len(unit.cfgs), n_paths, params.n_modes))
     max_iters, max_res = run_paths_vectorized(
         x0, n_steps, params, model, cfg.master_seed, n_paths,
-        observers=(observer,), first_path_index=half.first)
-    return [_HalfStats(mu, sq, n_paths, max_iters, max_res) for mu, sq in zip(mean, m2)]
+        observers=(observer,), first_path_index=unit.first)
+    return [_UnitStats(mu, sq, n_paths, max_iters, max_res) for mu, sq in zip(mean, m2)]
 
 
-def _run_half(half: _Half) -> list[_HalfStats | NonConvergenceError | SingularLinearSolveError]:
-    """One result per config of half, a Newton failure returned. A failing
+def _run_half(unit: _Unit) -> list[_UnitStats | NonConvergenceError | SingularLinearSolveError]:
+    """One result per config of unit, a Newton failure returned. A failing
     coupled batch runs again one config at a time, so that each config
     reports the failure it has alone."""
     try:
-        return _run_batch(half)
+        return _run_batch(unit)
     except (NonConvergenceError, SingularLinearSolveError) as exc:
-        if len(half.cfgs) == 1:
+        if len(unit.cfgs) == 1:
             return [exc]
-        return [_run_half(replace(half, cfgs=(cfg,), x0=half.x0[i:i + 1]))[0]
-                for i, cfg in enumerate(half.cfgs)]
+        return [_run_half(replace(unit, cfgs=(cfg,), x0=unit.x0[i:i + 1]))[0]
+                for i, cfg in enumerate(unit.cfgs)]
 
 
-def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
-    """One ensemble's result from its halves, merged in ascending path order
+def _merge(cfg: EnsembleConfig, units: list[_UnitStats]) -> EnsembleResult:
+    """One ensemble's result from its units, merged in ascending path order
     by the pairwise update of Chan, Golub & LeVeque (1979)."""
-    mean, m2, count = halves[0].mean, halves[0].m2, halves[0].n
-    for h in halves[1:]:
+    mean, m2, count = units[0].mean, units[0].m2, units[0].n
+    for h in units[1:]:
         n = count + h.n
         delta = h.mean - mean
         mean = mean + delta * (h.n / n)
@@ -302,8 +311,8 @@ def _merge(cfg: EnsembleConfig, halves: list[_HalfStats]) -> EnsembleResult:
         x_moment=series(0),
         w_moments={beta: series(r)
                    for r, beta in enumerate(cfg.moment_betas, start=1)},
-        max_newton_iters=max(h.max_iters for h in halves),
-        max_residual=max(h.max_res for h in halves),
+        max_newton_iters=max(h.max_iters for h in units),
+        max_residual=max(h.max_res for h in units),
     )
 
 
@@ -329,7 +338,7 @@ def _core_of(worker: int, n_workers: int, mask: set[int]) -> set[int] | None:
     return {cores[worker % len(cores)]} if n_workers >= len(cores) else None
 
 
-def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
+def _run_forked(units: list[_Unit], shares: list[list[int]]) -> dict:
     """Run share 0 here and every other share in a forked child process.
 
     Fork, not spawn: models hold lambdas and do not pickle; no other thread
@@ -354,7 +363,7 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
                         os.sched_setaffinity(0, core)
                     with os.fdopen(write, "wb") as pipe:
                         try:
-                            pickle.dump([_run_half(halves[h]) for h in share], pipe)
+                            pickle.dump([_run_half(units[h]) for h in share], pipe)
                         except Exception as exc:
                             pickle.dump(exc, pipe)
                 finally:
@@ -363,7 +372,7 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
             children.append((pid, os.fdopen(read, "rb"), share))
         if mask and (core := _core_of(0, len(shares), mask)):
             os.sched_setaffinity(0, core)
-        out = {h: _run_half(halves[h]) for h in shares[0]}
+        out = {h: _run_half(units[h]) for h in shares[0]}
         while children:
             pid, pipe, share = children[0]
             with pipe:
@@ -371,7 +380,7 @@ def _run_forked(halves: list[_Half], shares: list[list[int]]) -> dict:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if not payload:
-                raise EnsembleError(_label(halves[min(share)].cfgs[0]), ChildProcessError(
+                raise EnsembleError(_label(units[min(share)].cfgs[0]), ChildProcessError(
                     f"worker exited with status {code} and sent nothing"))
             results = pickle.loads(payload)
             if isinstance(results, Exception):
@@ -391,12 +400,15 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """Run independent ensembles of DIEG paths and reduce their diagnostics.
 
     The configs that are compatible_with each other run as one coupled
-    group, each path's copies on the path's noise. Each group runs as
-    N_HALVES fixed halves of its paths. The halves, in the order of their
-    groups' first configs, are dealt round-robin to
-    W = min(cores in the affinity mask, halves) processes: this one and
-    W - 1 forked workers. Each ensemble's halves merge in ascending path
-    order, so the results are a pure function of the configs, whatever W.
+    group, each path's copies on the path's noise. A lone group runs as
+    N_HALVES fixed halves of its paths; with two or more groups each group
+    runs whole, one batch of all its paths. These units are dealt to
+    W = min(cores in the affinity mask, units) processes, this one and
+    W - 1 forked workers: longest group first (cost rows x steps x N),
+    each unit to the least-loaded process, a group's units in path order.
+    Which units exist depends on the configs only, and each ensemble's
+    units merge in ascending path order, so the results are a pure
+    function of the configs, whatever W.
     A failure raises EnsembleError for the first failing ensemble in config
     order, caused by its Newton failure at the smallest (step, path); a
     worker that dies raises it for the first ensemble of its share.
@@ -409,19 +421,24 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
             groups.append([i])
         else:
             group.append(i)
-    halves, where = [], {}
+    units, where = [], {}
     for group in groups:
         head = cfgs[group[0]]
         x0 = np.array([cfgs[i].initial_coeffs() for i in group])
-        k = min(head.n_paths, N_HALVES)
+        k = 1 if len(groups) > 1 else min(head.n_paths, N_HALVES)
         cuts = [j * head.n_paths // k for j in range(k + 1)]
         for c, i in enumerate(group):
-            where[i] = [(h, c) for h in range(len(halves), len(halves) + k)]
-        halves += [_Half(tuple(cfgs[i] for i in group), x0, a, b)
-                   for a, b in zip(cuts, cuts[1:])]
-    n_workers = max(1, min(_cpu_count(), len(halves)))
-    shares = [list(range(s, len(halves), n_workers)) for s in range(n_workers)]
-    out = _run_forked(halves, shares)
+            where[i] = [(h, c) for h in range(len(units), len(units) + k)]
+        units += [_Unit(tuple(cfgs[i] for i in group), x0, a, b)
+                  for a, b in zip(cuts, cuts[1:])]
+    n_workers = max(1, min(_cpu_count(), len(units)))
+    shares, load = [[] for _ in range(n_workers)], [0] * n_workers
+    # The sort is stable, so a group's units keep their path order.
+    for h in sorted(range(len(units)), key=lambda h: -units[h].cost(whole=True)):
+        s = load.index(min(load))
+        shares[s].append(h)
+        load[s] += units[h].cost()
+    out = _run_forked(units, shares)
 
     results = []
     for i, cfg in enumerate(cfgs):
@@ -437,9 +454,9 @@ def run_ensembles(cfgs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     """Run n_paths independent DIEG paths and reduce their diagnostics.
 
-    The one-config call of run_ensembles: streams derive from
-    (master_seed, path index) and the halves merge in ascending path order,
-    so the result is a pure function of cfg.
+    The one-config call of run_ensembles, so its paths run as N_HALVES
+    halves: streams derive from (master_seed, path index) and the halves
+    merge in ascending path order, so the result is a pure function of cfg.
     """
     return run_ensembles([cfg])[0]
 

@@ -138,6 +138,7 @@ class _Workspace(GalerkinOperators):
         # two passes fewer than tau * drift(x); residual keeps drift's own
         # rounding, which Newton's round-off floor is judged against.
         self._tau_proj = self.basis * (self.tau * self.weight)
+        self._tau_mean = np.full(q, self.tau * self.weight)  # divisor's grid mean
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.one_plus * x - self.tau * self.drift(x) - rhs
@@ -147,23 +148,31 @@ class _Workspace(GalerkinOperators):
         fp = self.model.drift_deriv(x @ self.basis.T)
         return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
-    def newton_matrix(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
+    def newton_matrix(self, x: np.ndarray, k: int | None = None,
+                      fp: np.ndarray | None = None) -> np.ndarray:
         """(P, k, k) stack of the leading k x k block of
-        diag(1 + tau Lambda) - tau J(x) at each row; k is N or self.k."""
+        diag(1 + tau Lambda) - tau J(x) at each row; k is N or self.k, and
+        fp is f'(u) on the grid at the rows of x if the caller has it."""
         k = k or self.n
         q = len(self._products) - 1
         coef = np.empty((len(x), q + 1))
-        np.multiply(self.model.drift_deriv(x @ self.basis.T), -self.tau,
-                    out=coef[:, :q])
+        if fp is None:
+            fp = self.model.drift_deriv(x @ self.basis.T)
+        np.multiply(fp, -self.tau, out=coef[:, :q])
         coef[:, q] = 1.0
         table = self._products if k == self.n else self._low_products
         return (coef @ table).reshape(len(x), k, k)
+
+    def newton_apply(self, fp: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Rows of (1 + tau Lambda) v - tau P_N[f'(u) v], fp = f'(u) on the
+        grid: newton_matrix(x) @ v without the matrix, for two lifts."""
+        return self.one_plus * v - (fp * (v @ self.basis.T)) @ self._tau_proj
 
     def divisor(self, u: np.ndarray) -> np.ndarray:
         """Rows of d = 1 + tau Lambda - tau <f'(u)> for the rows of the lift
         u, <f'(u)> the grid mean of f': the Newton matrix's diagonal were f'
         constant. f' <= K1 keeps d >= C0 = 1 - (K1 - lambda_1) tau > 0."""
-        mean = np.add.reduce(self.model.drift_deriv(u), axis=1) * (self.tau * self.weight)
+        mean = self.model.drift_deriv(u) @ self._tau_mean
         return self.one_plus - mean[:, None]
 
     def _sweep(self, rhs: np.ndarray,
@@ -183,6 +192,7 @@ class _Workspace(GalerkinOperators):
         x = guess
         u = x @ lift
         res = self.one_plus * x - (rhs + drift(u) @ proj)
+        # np.linalg.norm's own sum, so the norm returned is its residual's.
         sq = np.add.reduce(res * res, axis=1)
         best, best_res, best_sq = x.copy(), res, sq
         # A NaN residual compares false, so its row never sweeps.
@@ -213,10 +223,13 @@ class _Workspace(GalerkinOperators):
                paths: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
         """Solve every row of F_hat(x) = rhs: sweeps, then damped Newton.
 
-        A split step solves the low k x k block of the Newton matrix and
-        divides the other modes by diag(1 + tau Lambda) (two-grid Newton: Xu,
-        SIAM J. Numer. Anal. 33, 1996). A row whose split step leaves over
-        _SPLIT_RATIO of its residual, and every row when k = N, takes full steps.
+        A split step is one block Gauss-Seidel pass on the Newton system
+        (two-grid Newton: Xu, SIAM J. Numer. Anal. 33, 1996): it divides the
+        high modes of the residual by diag(1 + tau Lambda), solves the low
+        k x k block against the residual of that guess, and corrects the high
+        modes once against newton_apply, all on one f'(u). A row whose split
+        step leaves over _SPLIT_RATIO of its residual, and every row when
+        k = N, takes full steps.
         Returns (x, iterations, largest final residual norm). A failure
         names the first failing row as path paths[row].
         """
@@ -228,9 +241,8 @@ class _Workspace(GalerkinOperators):
             return NonConvergenceError(float(residuals[row]), iterations,
                                        step=step, path=path(row))
 
-        def solve(rows, x_rows, b):
-            # Steps of x's rows from their k x k blocks, k = len(b[0]).
-            mats = self.newton_matrix(x_rows, b.shape[1])
+        def solve(rows, mats, b):
+            # Steps of the rows from their k x k blocks mats, k = len(b[0]).
             try:
                 return np.linalg.solve(mats, b[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
@@ -256,14 +268,27 @@ class _Workspace(GalerkinOperators):
             else:
                 x_act, res_act = x[active], res[active]
                 rhs_act, rn_act = rhs[active], rnorm[active]
+            act = np.flatnonzero(active)
             if self.k == self.n:
-                delta = solve(np.flatnonzero(active), x_act, -res_act)
+                delta = solve(act, self.newton_matrix(x_act), -res_act)
             else:
-                delta = res_act / -self.one_plus
-                for rows, k in ((~full[active], self.k), (full[active], self.n)):
-                    if rows.any():
-                        delta[rows, :k] = solve(np.flatnonzero(active)[rows], x_act[rows],
-                                                -res_act[rows, :k])
+                delta = np.empty_like(x_act)
+                split, k = ~full[active], self.k
+                if split.any():
+                    # The block Gauss-Seidel pass of the docstring.
+                    x_s, res_s = x_act[split], res_act[split]
+                    fp = self.model.drift_deriv(x_s @ self.basis.T)
+                    d = np.zeros_like(x_s)
+                    d[:, k:] = res_s[:, k:] / -self.one_plus[k:]
+                    lin = res_s + self.newton_apply(fp, d)
+                    d[:, :k] = solve(act[split], self.newton_matrix(x_s, k, fp), -lin[:, :k])
+                    lin = res_s + self.newton_apply(fp, d)
+                    d[:, k:] -= lin[:, k:] / self.one_plus[k:]
+                    delta[split] = d
+                if not split.all():
+                    rows = ~split
+                    delta[rows] = solve(act[rows], self.newton_matrix(x_act[rows]),
+                                        -res_act[rows])
             # Damped update: halve each row's step until its residual decreases.
             scale = np.ones(n_active)
             x_try = x_act + delta
@@ -318,30 +343,33 @@ _FLOOR_EPS = 8.0
 # median residual about 25-fold at eps = 0.5 (the plain resolvent sweep
 # x -> x - res / (1 + tau Lambda): 10-fold) and 1.6-fold at eps = 0.185.
 # On mix_plus, 200 paths, 30 steps, eps = 0.5, 5 such sweeps take the rows
-# Newton solves per path-step to 1.05 at N = 10 and 1.82-1.84 at N = 20 and
-# 40 (4 plain sweeps: 1.57 and 2.95), and the worst step's Newton
-# iterations to 3 and 6 (5 and 8). A sixth sweep ends rows inside the
-# sweeps at about tol, above Newton's final residuals. Ratios from 0.3 to
-# 0.9 performed alike at eps >= 0.2.
+# Newton solves per path-step to 1.05 at N = 10 (4 plain sweeps: 1.57) and
+# the worst step's Newton iterations to 3 (5); at N = 20 and 40 the split
+# step then solves 1.14-1.15 rows, worst step 3. A sixth sweep ends rows
+# inside the sweeps at about tol, above Newton's final residuals. Ratios
+# from 0.3 to 0.9 performed alike at eps >= 0.2.
 _SWEEPS = 5
 _SWEEP_RATIO = 0.8
 
 # Modes whose block of the Newton matrix a split step solves exactly; past
-# them tau lambda_n >= 60 (tau = 0.05) dominates. Blocks of 6 to 16 modes
-# step 100 rows at N = 40 in 39-55 ms, full Newton in 97 ms (16 steps, 2-core
-# Xeon, one BLAS thread); 10 keeps N <= 10, the paper preset, on full Newton.
+# them tau lambda_n >= 60 (tau = 0.05) dominates. With the high-mode
+# correction, blocks of 6 to 16 modes step 100 rows at N = 40 in 26-28 ms,
+# full Newton in 49 ms (16 steps, 2-core Xeon, one BLAS thread, min of 5);
+# 10 keeps N <= 10, the paper preset, on full Newton.
 _LOW_MODES = 10
 
 # A split step must cut a row's residual to this share or the row takes full
-# steps. 0.1 to 0.8 run alike; in the test's one-step probe the worst row took
-# 12, 18 and 28 iterations at 0.1, 0.5 and 0.8, and 4 of 18 cases failed
-# without the fallback.
+# steps. 0.1 to 0.8 run alike (25-26 ms on the run above); in the test's
+# one-step probe the worst row took 13, 15 and 15 iterations at 0.1, 0.5 and
+# 0.8. Without the fallback its 6 amplitude-20 cases of 18 fail, stalled at
+# residuals of 4.7e2 to 8.5e3.
 _SPLIT_RATIO = 0.5
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(a, axis=1) without its per-call overhead; same rounding.
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    # np.linalg.norm(a, axis=1) to round-off; at 1500 rows the einsum takes
+    # a third of the time of np.add.reduce(a * a, axis=1).
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 @functools.cache

@@ -207,6 +207,20 @@ def test_newton_matrix_matches_jacobian_oracle(n):
     np.testing.assert_allclose(ws.newton_matrix(x), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 12, 40])
+def test_newton_apply_matches_newton_matrix(n):
+    # the matrix-free operator of the split step is newton_matrix(x) @ v, and
+    # the low block built from a given f'(u) is the leading block
+    ws = _Workspace(SchemeParams(n_modes=n, tau=TAU), AC)
+    x, v = np.random.default_rng(n).standard_normal((2, 3, n))
+    fp = AC.drift_deriv(x @ ws.basis.T)
+    mats = ws.newton_matrix(x)
+    np.testing.assert_allclose(ws.newton_apply(fp, v), (mats @ v[:, :, None])[:, :, 0],
+                               rtol=1e-12)
+    np.testing.assert_allclose(ws.newton_matrix(x, ws.k, fp), mats[:, :ws.k, :ws.k],
+                               rtol=1e-12, atol=1e-14)
+
+
 def test_implicit_solve_unique_from_random_starts():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -430,10 +444,27 @@ def test_sweeps_cut_newton_rows_below_two(monkeypatch):
     assert sum(rows) / (200 * 30) <= 2.0
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_split_newton_cuts_rows_to_near_one(monkeypatch, n):
+    # the run above past the low block: the split step's block Gauss-Seidel
+    # pass solves 1.14-1.15 rows per path-step (full Newton: 1.04); dividing
+    # the high modes by diag(1 + tau Lambda) alone solved 1.82-1.84
+    solve, rows = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        rows.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    run_paths_vectorized(initial_datum("mix_plus", n), 30, SchemeParams(n, TAU), AC,
+                         2024, 200)
+    assert sum(rows) / (200 * 30) <= 1.4
+
+
 def test_split_newton_keeps_engine_rows_on_the_low_block(monkeypatch):
     # the run above at N = 40: every Newton step solves only the 10 x 10 low
-    # block (2.95 rows per path-step); with the high modes divided by 1 in
-    # place of diag(1 + tau Lambda), 1.5 rows per path-step fall back to 40
+    # block; with the high modes divided by 1 in place of diag(1 + tau
+    # Lambda) and no correction, 1.5 rows per path-step fell back to 40
     solve, sizes = np.linalg.solve, set()
 
     def counting_solve(a, b):

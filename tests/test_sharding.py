@@ -1,6 +1,7 @@
-"""Ensembles run as two fixed path halves over the available cores.
+"""Ensembles run over the available cores: a lone group as two fixed path
+halves, each group of a multi-group call whole.
 
-The layout never depends on the worker count, so every output must be the
+The units never depend on the worker count, so every output must be the
 same for one process and for two.
 """
 
@@ -184,15 +185,45 @@ def test_halves_merge_to_the_one_batch_statistics():
 
 
 def test_run_ensembles_equals_one_call_per_config():
+    # three groups run whole, each config alone in two halves: equal to
+    # round-off, as for a coupled group
     cfgs = [ensemble_cfg(initial=i, n_paths=p, params=SchemeParams(n, 0.05))
             for i, p, n in (("sine", 1, 4), ("mix_minus", 6, 8), ("mix_plus", 3, 12))]
     for a, b in zip(run_ensembles(cfgs), [run_ensemble(c) for c in cfgs]):
         assert a.config == b.config
-        np.testing.assert_array_equal(a.x_moment.values, b.x_moment.values)
-        np.testing.assert_array_equal(a.x_moment.stderrs, b.x_moment.stderrs)
+        np.testing.assert_allclose(a.x_moment.values, b.x_moment.values, rtol=1e-12)
+        np.testing.assert_allclose(a.x_moment.stderrs, b.x_moment.stderrs,
+                                   rtol=1e-12, atol=1e-16)
         for tag, series in a.time_averages.items():
-            np.testing.assert_array_equal(series.values, b.time_averages[tag].values)
-            np.testing.assert_array_equal(series.stderrs, b.time_averages[tag].stderrs)
+            np.testing.assert_allclose(series.values, b.time_averages[tag].values,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(series.stderrs, b.time_averages[tag].stderrs,
+                                       rtol=1e-12, atol=1e-16)
+
+
+def test_sweep_runs_whole_groups_dealt_by_cost(monkeypatch):
+    # three groups (one per N) run whole, longest first to the least-loaded
+    # process: N = 40 alone, N = 20 and 10 together at W = 2, one process
+    # each with more cores; a lone group still runs as two halves, half 0 here
+    dealt, run_forked = [], ergodic._run_forked
+
+    def recording(units, shares):
+        dealt.append([[(units[h].cfgs[0].params.n_modes, units[h].first, units[h].stop)
+                       for h in share] for share in shares])
+        return run_forked(units, shares)
+
+    monkeypatch.setattr(ergodic, "_run_forked", recording)
+    model = allen_cahn_model(0.5)
+    sweep = [ensemble_cfg(model=model, params=SchemeParams(n, 0.05), n_steps=2)
+             for n in (10, 20, 40)]
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
+        run_ensembles(sweep)
+    run_ensembles(sweep[:1])
+    assert dealt == [[[(40, 0, 7), (20, 0, 7), (10, 0, 7)]],
+                     [[(40, 0, 7)], [(20, 0, 7), (10, 0, 7)]],
+                     [[(40, 0, 7)], [(20, 0, 7)], [(10, 0, 7)]],
+                     [[(10, 0, 3)], [(10, 3, 7)]]]
 
 
 def test_coupled_group_equals_one_call_per_config():
@@ -256,7 +287,9 @@ def test_first_failure_in_config_order_at_smallest_step_and_path(monkeypatch, wo
 
     monkeypatch.setattr(ergodic, "_run_batch", failing)
     monkeypatch.setattr(ergodic, "_cpu_count", lambda: workers)
-    cfgs = [ensemble_cfg(initial="mix_plus"), ensemble_cfg(initial="mix_minus")]
+    model = allen_cahn_model(0.5)  # one model, so the two form one coupled group
+    cfgs = [ensemble_cfg(initial="mix_plus", model=model),
+            ensemble_cfg(initial="mix_minus", model=model)]
     with pytest.raises(EnsembleError) as exc:
         run_ensembles(cfgs)
     assert exc.value.label == "initial 'mix_plus', N = 10"
