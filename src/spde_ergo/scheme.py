@@ -183,13 +183,13 @@ class _Workspace(GalerkinOperators):
         residual of x, s = rhs + tau P_N F(x) and d the divisor at x, one
         lift u of x giving all three. Each row carries one state (x, u, res,
         and the squared norm of res), which a sweep's candidate replaces only
-        if it lowers that norm. A row sweeps on while its candidate was kept,
-        cut the norm to at most _SWEEP_RATIO of the last and left it above
-        tol: from a large state the map diverges. Returns each row's x, its
-        residual and the residual's norm; x is guess itself if no row swept.
+        if it lowers that norm: from a large state the map diverges. A row
+        sweeps on while its candidate was kept and left it above tol. Returns
+        each row's x, its residual and the residual's norm; x is guess
+        itself if no row swept.
         """
         drift, lift, proj = self.model.drift, self.basis.T, self._tau_proj
-        tol_sq, ratio_sq = self.tol * self.tol, _SWEEP_RATIO * _SWEEP_RATIO
+        tol_sq = self.tol * self.tol
         x = guess
         u = x @ lift
         res = self.one_plus * x - (rhs + drift(u) @ proj)
@@ -206,7 +206,7 @@ class _Workspace(GalerkinOperators):
             res_new = self.one_plus * x_new - (rhs + drift(u_new) @ proj)
             sq_new = np.add.reduce(res_new * res_new, axis=1)
             keep = sweeping & (sq_new < sq)
-            sweeping = keep & (sq_new <= ratio_sq * sq) & (sq_new > tol_sq)
+            sweeping = keep & (sq_new > tol_sq)
             if np.count_nonzero(keep) < len(x):
                 stay = ~keep[:, None]
                 for new, cur in ((x_new, x), (u_new, u), (res_new, res)):
@@ -319,26 +319,23 @@ class _Workspace(GalerkinOperators):
 # Newton iterations before a row that is still above tol has failed. F_hat
 # is strictly monotone, so the cap only guards. In four 1500-run boundary
 # fuzzes (tau in [0.002, 0.05], C0 >= 0.02, amplitude <= 20, N <= 40) the
-# worst step took 29-33, and the one-step probe's worst row 34 (eps = 0.1,
-# tau = 0.01, N = 20, amplitude 20; full Newton: 12), 16 below the cap.
+# worst step took 16-17, and the one-step probe's worst row 13 (full
+# Newton: 12), 33 below the cap.
 _MAX_ITER = 50
 
 # A residual within this many machine epsilons times the scale of its terms
 # is round-off; the stalled residual measured 1.2 to 1.7 of them, N = 1..40.
 _FLOOR_EPS = 8.0
 
-# Mean-field sweeps before Newton, and the factor by which a sweep must cut
-# a row's residual for the row to go on. On engine states a sweep cuts the
+# Mean-field sweeps before Newton. On engine states a sweep cuts the
 # median residual about 25-fold at eps = 0.5 (the plain resolvent sweep
 # x -> x - res / (1 + tau Lambda): 10-fold) and 1.6-fold at eps = 0.185.
 # On mix_plus, 200 paths, 30 steps, eps = 0.5, 5 such sweeps take the rows
 # Newton solves per path-step to 1.05 at N = 10 (4 plain sweeps: 1.57) and
 # the worst step's Newton iterations to 3 (5); at N = 20 and 40 the split
 # step then solves 1.14-1.15 rows, worst step 3. A sixth sweep ends rows
-# inside the sweeps at about tol, above Newton's final residuals. Ratios
-# from 0.3 to 0.9 performed alike at eps >= 0.2.
+# inside the sweeps at about tol, above Newton's final residuals.
 _SWEEPS = 5
-_SWEEP_RATIO = 0.8
 
 # Modes whose block of the Newton matrix a split step solves exactly; past
 # them tau lambda_n >= 60 (tau = 0.05) dominates. With the high-mode
@@ -348,11 +345,12 @@ _SWEEP_RATIO = 0.8
 _LOW_MODES = 10
 
 # A split step must cut a row's residual to this share or the row takes full
-# steps. 0.1 to 0.8 run alike (25-26 ms on the run above); in the test's
-# one-step probe the worst row took 13, 15 and 15 iterations at 0.1, 0.5 and
-# 0.8. Without the fallback its 6 amplitude-20 cases of 18 fail, stalled at
-# residuals of 4.7e2 to 8.5e3.
-_SPLIT_RATIO = 0.5
+# steps. At eps = 0.05, tau = 0.0025 (tau lambda_11 = 3), 100 mix_plus paths,
+# N = 20 and 40, the worst step took 28-30 Newton iterations at 0.5 and 9 at
+# 0.1 (0.15: 11). 0.1 also sends more rows to full steps: at eps = 0.1,
+# tau = 0.01, N = 40, 0.51 per path-step (0.5: 0.12), and 10-16 % slower.
+# Without the fallback 14 of the one-step probe's 30 cases stall.
+_SPLIT_RATIO = 0.1
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

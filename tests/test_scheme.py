@@ -587,7 +587,12 @@ def test_split_newton_converges_from_large_states(monkeypatch, eps, tau, n):
     # tau = 0.05 fail, and 8 of the 12 at tau = 0.01 and 0.0025, where
     # tau lambda_11 is 12 and 3), and every row must still converge, to the
     # full Newton solution: both are within tol of F_hat's root, and F_hat
-    # is strongly monotone with C0
+    # is strongly monotone with C0. A split row that keeps over a tenth of
+    # its residual goes to full steps, so the split solve takes at most 3
+    # iterations more than full Newton: the largest gap is 2 (8 against 6
+    # at eps = 0.05, tau = 0.0025, amplitude 1). With the fallback at half
+    # the residual, 8 of the 30 cases took 9 to 22 more: 28 against 9 and
+    # 34 against 12 at eps = 0.1, tau = 0.01, N = 20, amplitudes 5 and 20
     params, model = SchemeParams(n_modes=n, tau=tau), allen_cahn_model(eps)
     c0 = 1.0 - (model.constants.K1 - math.pi**2) * tau
     ws = _Workspace(params, model)
@@ -599,7 +604,9 @@ def test_split_newton_converges_from_large_states(monkeypatch, eps, tau, n):
                / np.arange(1, n + 1))
         x, iters, residual = ws.newton(rhs, rhs)
         assert iters < scheme._MAX_ITER and residual <= params.newton_tol
-        gap = np.linalg.norm(x - full.newton(rhs, rhs)[0], axis=1)
+        x_full, full_iters, _ = full.newton(rhs, rhs)
+        assert iters <= full_iters + 3
+        gap = np.linalg.norm(x - x_full, axis=1)
         assert gap.max() <= 2.0 * params.newton_tol / c0
 
 
