@@ -134,14 +134,22 @@ class _Workspace(GalerkinOperators):
         self._products[-1, ::self.n + 1] = self.one_plus
         self.k = k = min(n, _LOW_MODES)  # a split Newton step's low block
         self._low_products = self._products.reshape(q + 1, n, n)[:, :k, :k].reshape(q + 1, -1)
-        # The sweeps take tau P_N F(x) as model.drift(x @ basis.T) @ _tau_proj,
-        # two passes fewer than tau * drift(x); residual keeps drift's own
-        # rounding, which Newton's round-off floor is judged against.
+        # tau P_N[f'(u) v] in newton_apply, and the round-off floor's scale.
         self._tau_proj = self.basis * (self.tau * self.weight)
         self._tau_mean = np.full(q, self.tau * self.weight)  # divisor's grid mean
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.one_plus * x - self.tau * self.drift(x) - rhs
+        return self._residual(x, rhs)[1]
+
+    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(u, res, norm): the lift u of x, res = F_hat(x) - rhs and each
+        row's norm of res, np.linalg.norm's own sum. res keeps drift's own
+        rounding: near the round-off floor, scaling the projection by tau
+        before the product (_tau_proj) moves res by as much as the floor."""
+        u = x @ self.basis.T
+        tau_f = self.tau * (self.model.drift(u) @ self.basis * self.weight)
+        res = self.one_plus * x - tau_f - rhs
+        return u, res, np.sqrt(np.add.reduce(res * res, axis=1))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """(P, N, N) stack of the symmetric Jacobians of P_N F at each row."""
@@ -175,45 +183,35 @@ class _Workspace(GalerkinOperators):
         mean = self.model.drift_deriv(u) @ self._tau_mean
         return self.one_plus - mean[:, None]
 
-    def _sweep(self, rhs: np.ndarray,
-               guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _sweep(self, rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, ...]:
         """Up to _SWEEPS mean-field resolvent sweeps of every row.
 
-        A sweep maps x to x - res / d, res = (I + tau Lambda) x - s the
-        residual of x, s = rhs + tau P_N F(x) and d the divisor at x, one
-        lift u of x giving all three. Each row carries one state (x, u, res,
-        and the squared norm of res), which a sweep's candidate replaces only
-        if it lowers that norm: from a large state the map diverges. A row
-        sweeps on while its candidate was kept and left it above tol. Returns
-        each row's x, its residual and the residual's norm; x is guess
-        itself if no row swept.
+        A sweep maps x to x - res / d, res = F_hat(x) - rhs and d the divisor
+        at x, one lift u of x giving both. Each row carries one state (x, u,
+        res, and the norm of res), which a sweep's candidate replaces only if
+        it lowers that norm, and a row sweeps on while its sweeps do: from a
+        large state the map diverges, and near the root round-off stops it.
+        Returns each row's (x, u, res, norm); x is guess itself if no row
+        swept.
         """
-        drift, lift, proj = self.model.drift, self.basis.T, self._tau_proj
-        tol_sq = self.tol * self.tol
         x = guess
-        u = x @ lift
-        res = self.one_plus * x - (rhs + drift(u) @ proj)
-        # np.linalg.norm's own sum, so the norm returned is its residual's.
-        sq = np.add.reduce(res * res, axis=1)
-        # A NaN norm compares false, so its row never sweeps and a NaN
-        # candidate is never kept.
-        sweeping = sq > tol_sq
+        u, res, rnorm = self._residual(x, rhs)
+        # A NaN norm compares false, so a NaN candidate is never kept.
+        sweeping = np.ones(len(x), dtype=bool)
         for _ in range(_SWEEPS):
-            if not np.count_nonzero(sweeping):
-                break
             x_new = x - res / self.divisor(u)
-            u_new = x_new @ lift
-            res_new = self.one_plus * x_new - (rhs + drift(u_new) @ proj)
-            sq_new = np.add.reduce(res_new * res_new, axis=1)
-            keep = sweeping & (sq_new < sq)
-            sweeping = keep & (sq_new > tol_sq)
-            if np.count_nonzero(keep) < len(x):
-                stay = ~keep[:, None]
+            u_new, res_new, rn_new = self._residual(x_new, rhs)
+            sweeping &= rn_new < rnorm
+            n_kept = np.count_nonzero(sweeping)
+            if not n_kept:
+                break
+            if n_kept < len(x):
+                stay = ~sweeping[:, None]
                 for new, cur in ((x_new, x), (u_new, u), (res_new, res)):
                     np.copyto(new, cur, where=stay)
-                sq_new = np.where(keep, sq_new, sq)
-            x, u, res, sq = x_new, u_new, res_new, sq_new
-        return x, res, np.sqrt(sq)
+                rn_new = np.where(sweeping, rn_new, rnorm)
+            x, u, res, rnorm = x_new, u_new, res_new, rn_new
+        return x, u, res, rnorm
 
     def newton(self, rhs: np.ndarray, guess: np.ndarray, step: int | None = None,
                paths: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
@@ -246,10 +244,9 @@ class _Workspace(GalerkinOperators):
                 row = rows[np.argmax(np.linalg.slogdet(mats)[0] == 0)]
                 raise SingularLinearSolveError(step, path(row)) from exc
 
-        def descent(rows, x, res, k):
-            # The Newton step of the batch rows `rows` at x, residual res: the
-            # plain solve at k = N, else the block Gauss-Seidel pass.
-            fp = self.model.drift_deriv(x @ self.basis.T)
+        def descent(rows, x, fp, res, k):
+            # The Newton step of the batch rows `rows` at x, f'(u) fp, residual
+            # res: the plain solve at k = N, else the block Gauss-Seidel pass.
             mats = self.newton_matrix(x, k, fp)
             if k == self.n:
                 return solve(rows, mats, res)
@@ -261,7 +258,7 @@ class _Workspace(GalerkinOperators):
             d[:, k:] -= lin[:, k:] / self.one_plus[k:]
             return d
 
-        x, res, rnorm = self._sweep(rhs, guess)
+        x, u, res, rnorm = self._sweep(rhs, guess)
         if x is guess:  # the rows below are updated in place
             x = guess.copy()
         at_floor = np.zeros(len(x), dtype=bool)
@@ -274,21 +271,21 @@ class _Workspace(GalerkinOperators):
                 break
             if iters >= _MAX_ITER:
                 raise failure(act[0], iters)
-            x_act, res_act, rhs_act, rn_act = x[act], res[act], rhs[act], rnorm[act]
-            on_full = full[act]
+            x_act, u_act, res_act, rn_act = x[act], u[act], res[act], rnorm[act]
+            rhs_act, on_full = rhs[act], full[act]
+            fp = self.model.drift_deriv(u_act)
             n_full = np.count_nonzero(on_full)
             if n_full in (0, len(act)):
-                delta = descent(act, x_act, res_act, self.n if n_full else self.k)
+                delta = descent(act, x_act, fp, res_act, self.n if n_full else self.k)
             else:
                 delta = np.empty_like(x_act)
                 for rows, k in ((~on_full, self.k), (on_full, self.n)):
-                    delta[rows] = descent(act[rows], x_act[rows], res_act[rows], k)
+                    delta[rows] = descent(act[rows], x_act[rows], fp[rows], res_act[rows], k)
             # Damped update: halve each row's step until its residual decreases.
             scale = np.ones(len(act))
             x_try = x_act + delta
             for _ in range(40):
-                res_try = self.residual(x_try, rhs_act)
-                rn_try = _row_norms(res_try)
+                u_try, res_try, rn_try = self._residual(x_try, rhs_act)
                 stuck = ~(rn_try < rn_act)
                 if not np.count_nonzero(stuck):
                     break
@@ -301,17 +298,17 @@ class _Workspace(GalerkinOperators):
                 # row's floor is inf too, so only a finite residual counts.
                 floor = _FLOOR_EPS * np.finfo(float).eps * (
                     _row_norms(self.one_plus * x_act) + _row_norms(rhs_act)
-                    + self.tau * _row_norms(self.drift(x_act)))
+                    + _row_norms(self.model.drift(u_act) @ self._tau_proj))
                 ok = (rn_act <= floor) & np.isfinite(rn_act)
                 # A split row that runs dry takes the full step next.
                 failed = act[stuck & ~ok & on_full]
                 if len(failed):
                     raise failure(failed[0], iters + 1)
                 at_floor[act] = stuck & ok
-                x_try[stuck], res_try[stuck] = x_act[stuck], res_act[stuck]
-                rn_try[stuck] = rn_act[stuck]
+                x_try[stuck], u_try[stuck] = x_act[stuck], u_act[stuck]
+                res_try[stuck], rn_try[stuck] = res_act[stuck], rn_act[stuck]
             full[act] |= ~(rn_try <= _SPLIT_RATIO * rn_act)
-            x[act], res[act], rnorm[act] = x_try, res_try, rn_try
+            x[act], u[act], res[act], rnorm[act] = x_try, u_try, res_try, rn_try
             iters += 1
         return x, iters, float(rnorm.max())
 
@@ -330,11 +327,14 @@ _FLOOR_EPS = 8.0
 # Mean-field sweeps before Newton. On engine states a sweep cuts the
 # median residual about 25-fold at eps = 0.5 (the plain resolvent sweep
 # x -> x - res / (1 + tau Lambda): 10-fold) and 1.6-fold at eps = 0.185.
-# On mix_plus, 200 paths, 30 steps, eps = 0.5, 5 such sweeps take the rows
-# Newton solves per path-step to 1.05 at N = 10 (4 plain sweeps: 1.57) and
-# the worst step's Newton iterations to 3 (5); at N = 20 and 40 the split
-# step then solves 1.14-1.15 rows, worst step 3. A sixth sweep ends rows
-# inside the sweeps at about tol, above Newton's final residuals.
+# Rows sweep on, also below tol, while their sweeps lower the residual. On
+# half the paper preset (sine, mix_plus and mix_minus, 500 paths, 30 steps,
+# eps = 0.5, N = 10) Newton then solves 1.05 rows per row-step after 5
+# sweeps, 0.78 after 6, 0.58 after 7, 0.44 after 8 and 0.32 after 9, and
+# 8 run that half 11-15 % faster. But 6 and 7 end rows at 1e-12 to 1e-11,
+# short of the round-off Newton's last step reaches, which the golden
+# simulate residual pins; and at eps = 0.1, N = 10, where every row still
+# needs Newton, 8 made the engine 11-13 % slower (100 mix_plus paths).
 _SWEEPS = 5
 
 # Modes whose block of the Newton matrix a split step solves exactly; past
