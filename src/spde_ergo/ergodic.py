@@ -571,9 +571,10 @@ def agreement_check(results: dict[str, EnsembleResult],
     """Compare final time averages across initial data.
 
     Pass iff, for each functional, the max pairwise difference of final
-    averages is within max(3 x pooled stderr, tolerance), where the
-    tolerance is abs_tol for the bounded functionals and rel_tol_norm_sq
-    relative for the unbounded norm_sq.
+    averages, largest minus smallest, is within max(3 x pooled stderr of
+    those two, tolerance), where the tolerance is abs_tol for the bounded
+    functionals and rel_tol_norm_sq relative for the unbounded norm_sq. On
+    ties the first initial datum holding the largest (smallest) final wins.
     """
     if len(results) < 2:
         raise ValueError("agreement_check needs at least two initial data")
@@ -586,20 +587,14 @@ def agreement_check(results: dict[str, EnsembleResult],
     for tag in first.functionals:
         finals = [r.time_averages[tag].final for r in items]
         errs = [r.time_averages[tag].final_stderr for r in items]
-        best_diff, best_pool = 0.0, 0.0
-        for i in range(len(finals)):
-            for j in range(i + 1, len(finals)):
-                d = abs(finals[i] - finals[j])
-                if d >= best_diff:
-                    best_diff = d
-                    best_pool = math.hypot(errs[i], errs[j])
+        hi, lo = int(np.argmax(finals)), int(np.argmin(finals))
         if tag == "norm_sq":
             tol = rel_tol_norm_sq * float(np.mean(np.abs(finals)))
         else:
             tol = abs_tol
-        max_diff[tag] = best_diff
-        pooled[tag] = best_pool
+        max_diff[tag] = finals[hi] - finals[lo]
+        pooled[tag] = math.hypot(errs[hi], errs[lo])
         tols[tag] = tol
-        passed[tag] = best_diff <= max(3.0 * best_pool, tol)
+        passed[tag] = max_diff[tag] <= max(3.0 * pooled[tag], tol)
     return AgreementResult(max_diff=max_diff, pooled_stderr=pooled,
                            tolerance=tols, passed=passed)

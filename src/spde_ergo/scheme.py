@@ -125,8 +125,8 @@ class _Workspace(GalerkinOperators):
         self.res_factors = resolvent_factors(self.n, self.tau)
         self.tol = params.newton_tol
         # ((Q+1) x N^2) table: row q < Q is e_n(xi_q) e_m(xi_q) / (Q+1) and
-        # the last row is vec(diag(1 + tau Lambda)), so jacobian is one
-        # product with f'(u) and newton_matrix one with [-tau f'(u), 1].
+        # the last row is vec(diag(1 + tau Lambda)), so newton_matrix is one
+        # product with [-tau f'(u), 1].
         b, q = self.basis, len(self.basis)
         self._products = np.zeros((q + 1, self.n * self.n))
         np.multiply((b[:, :, None] * b[:, None, :]).reshape(q, -1),
@@ -134,7 +134,7 @@ class _Workspace(GalerkinOperators):
         self._products[-1, ::self.n + 1] = self.one_plus
         self.k = k = min(n, _LOW_MODES)  # a split Newton step's low block
         self._low_products = self._products.reshape(q + 1, n, n)[:, :k, :k].reshape(q + 1, -1)
-        # tau P_N[f'(u) v] in newton_apply, and the round-off floor's scale.
+        # tau P_N[f'(u) v] in newton_apply.
         self._tau_proj = self.basis * (self.tau * self.weight)
         self._tau_mean = np.full(q, self.tau * self.weight)  # divisor's grid mean
 
@@ -150,11 +150,6 @@ class _Workspace(GalerkinOperators):
         tau_f = self.tau * (self.model.drift(u) @ self.basis * self.weight)
         res = self.one_plus * x - tau_f - rhs
         return u, res, np.sqrt(np.add.reduce(res * res, axis=1))
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """(P, N, N) stack of the symmetric Jacobians of P_N F at each row."""
-        fp = self.model.drift_deriv(x @ self.basis.T)
-        return (fp @ self._products[:-1]).reshape(len(x), self.n, self.n)
 
     def newton_matrix(self, x: np.ndarray, k: int | None = None,
                       fp: np.ndarray | None = None) -> np.ndarray:
@@ -294,11 +289,13 @@ class _Workspace(GalerkinOperators):
             else:
                 # Out of halvings. A row whose residual is already at the
                 # round-off floor of its own terms has converged (Kelley 2003,
-                # stagnation); any other stuck row has failed. An overflowed
-                # row's floor is inf too, so only a finite residual counts.
+                # stagnation); any other stuck row has failed. Its tau P_N F
+                # is (1 + tau Lambda) x - rhs - res. An overflowed row's floor
+                # is inf too, so only a finite residual counts.
+                lin = self.one_plus * x_act
                 floor = _FLOOR_EPS * np.finfo(float).eps * (
-                    _row_norms(self.one_plus * x_act) + _row_norms(rhs_act)
-                    + _row_norms(self.model.drift(u_act) @ self._tau_proj))
+                    _row_norms(lin) + _row_norms(rhs_act)
+                    + _row_norms(lin - rhs_act - res_act))
                 ok = (rn_act <= floor) & np.isfinite(rn_act)
                 # A split row that runs dry takes the full step next.
                 failed = act[stuck & ~ok & on_full]

@@ -30,9 +30,10 @@ def drift(c, model, q):
 
 
 def jacobian(c, model):
-    """P_N F's Jacobian at c, as the engine assembles it at its quadrature."""
-    params = SchemeParams(n_modes=c.size, tau=0.05)
-    return _Workspace(params, model).jacobian(c[None])[0]
+    """P_N F's Jacobian at c, as the engine assembles it at its quadrature:
+    (diag(1 + tau Lambda) - newton_matrix(c)) / tau."""
+    ws = _Workspace(SchemeParams(n_modes=c.size, tau=0.05), model)
+    return (np.diag(ws.one_plus) - ws.newton_matrix(c[None])[0]) / ws.tau
 
 
 def noise_matrix(c, model, q):

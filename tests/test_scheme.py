@@ -197,14 +197,19 @@ def test_copies_step_on_their_path_noise():
 
 @pytest.mark.parametrize("n", [1, 4, 40])
 def test_newton_matrix_matches_jacobian_oracle(n):
-    # the one-product Newton matrix is diag(1 + tau*Lambda) - tau J(x)
-    p = SchemeParams(n_modes=n, tau=TAU)
-    ws = _Workspace(p, AC)
+    # the one-product Newton matrix is diag(1 + tau (k pi)^2) - tau J(x), J
+    # the Jacobian of P_N F from f' = 4 (1 - 3 u^2) projected on 8N nodes
+    ws = _Workspace(SchemeParams(n_modes=n, tau=TAU), AC)
     x = np.random.default_rng(n).standard_normal((3, n))
-    jac = ws.jacobian(x)
-    np.testing.assert_allclose(jac, jac.transpose(0, 2, 1), atol=1e-12)
-    want = np.diag(1 + TAU * eigenvalues(n)) - TAU * jac
-    np.testing.assert_allclose(ws.newton_matrix(x), want, rtol=1e-12)
+    q = 8 * n
+    k = np.arange(1, n + 1)
+    e = math.sqrt(2.0) * np.sin(math.pi * np.outer(np.arange(1, q + 1) / (q + 1), k))
+    fp = 4.0 * (1.0 - 3.0 * (x @ e.T) ** 2)
+    jac = np.einsum("pi,in,im->pnm", fp, e, e) / (q + 1)
+    want = np.diag(1.0 + TAU * (k * math.pi) ** 2) - TAU * jac
+    mats = ws.newton_matrix(x)
+    np.testing.assert_array_equal(mats, mats.transpose(0, 2, 1))
+    np.testing.assert_allclose(mats, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("n", [1, 12, 40])
@@ -247,12 +252,11 @@ def test_strict_monotonicity_and_expansion_bound():
 def test_hat_f_directional_derivative_matches_fd():
     rng = np.random.default_rng(5)
     ws = _Workspace(PARAMS, AC)
-    lam = eigenvalues(10)
     for _ in range(5):
         x = rng.standard_normal(10)
         v = rng.standard_normal(10)
         v /= np.linalg.norm(v)
-        jac_dir = (1 + TAU * lam) * v - TAU * ws.jacobian(x[None])[0] @ v
+        jac_dir = ws.newton_matrix(x[None])[0] @ v
         h = 1e-6
         fd = (hat_f(x + h * v, PARAMS, AC) - hat_f(x - h * v, PARAMS, AC)) / (2 * h)
         np.testing.assert_allclose(fd, jac_dir,
